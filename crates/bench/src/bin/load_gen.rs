@@ -259,6 +259,17 @@ fn is_retryable_failure(parsed: &Json) -> bool {
             == Some(true)
 }
 
+/// Send one request line with a single `write_all`: under `TCP_NODELAY`,
+/// `writeln!` would send the line and its newline as two segments.
+fn send_line(writer: &mut TcpStream, line: &str) -> Result<(), String> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    writer
+        .write_all(framed.as_bytes())
+        .map_err(|e| e.to_string())
+}
+
 fn drive_connection(
     addr: &str,
     script: Script,
@@ -280,8 +291,7 @@ fn drive_connection(
     // Registrations run closed-loop before the clock starts: they are setup, not
     // load, and their `cached` flags prove (or disprove) store persistence.
     for line in &script.registrations {
-        writeln!(writer, "{line}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
+        send_line(&mut writer, line)?;
         response.clear();
         if reader.read_line(&mut response).map_err(|e| e.to_string())? == 0 {
             return Err("server closed the connection during registration".to_string());
@@ -303,8 +313,7 @@ fn drive_connection(
             if let Some(wait) = at.checked_sub(start.elapsed()) {
                 std::thread::sleep(wait);
             }
-            writeln!(writer, "{line}").map_err(|e| e.to_string())?;
-            writer.flush().map_err(|e| e.to_string())?;
+            send_line(&mut writer, line)?;
         }
         Ok(())
     });
@@ -356,8 +365,7 @@ fn drive_connection(
                 let jitter = 0.5 + unit_open(&mut rng); // 0.5x .. 1.5x
                 std::thread::sleep(Duration::from_secs_f64(backoff_ms as f64 / 1000.0 * jitter));
                 report.retries += 1;
-                writeln!(writer, "{}", lines[i]).map_err(|e| e.to_string())?;
-                writer.flush().map_err(|e| e.to_string())?;
+                send_line(&mut writer, &lines[i])?;
                 response.clear();
                 if reader.read_line(&mut response).map_err(|e| e.to_string())? == 0 {
                     report.protocol_errors += 1;

@@ -39,7 +39,7 @@ impl CanonicalQuery {
     pub fn of(path: &Path) -> CanonicalQuery {
         let canon = canonicalize(path);
         let text = canon.to_string();
-        let canonical_hash = fnv64(&text);
+        let canonical_hash = fnv64(text.as_bytes());
         let structural_hash = structural_hash(&canon);
         CanonicalQuery {
             path: canon,
@@ -57,11 +57,12 @@ pub fn canonicalize(path: &Path) -> Path {
     rebuild_seq(atoms)
 }
 
-/// FNV-1a over the bytes of `s` (the canonical-text hash).
-pub fn fnv64(s: &str) -> u64 {
+/// FNV-1a-64 over `bytes`: the canonical-text hash, and also the artifact store's
+/// file key and entry checksum.
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
@@ -429,6 +430,16 @@ mod tests {
 
     fn canon(s: &str) -> Path {
         canonicalize(&parse_path(s).expect("parse"))
+    }
+
+    #[test]
+    fn fnv64_matches_the_published_fnv1a_vectors() {
+        // Canonical hashes, store keys and store checksums all depend on these.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        let query = CanonicalQuery::of(&parse_path("a[c][b]").expect("parse"));
+        assert_eq!(query.canonical_hash, fnv64(query.text.as_bytes()));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 use xpsat_server::{Bind, Server, ServerConfig};
 use xpsat_service::{effective_threads, Json, ProtocolServer, ServiceError, Session};
@@ -549,7 +549,8 @@ enum ClientConn {
     Unix(std::os::unix::net::UnixStream),
 }
 
-/// A buffered reader plus writer over the same server connection.
+/// A buffered reader plus writer over the same server connection.  Callers flush
+/// the writer after each request, so every request leaves in one write.
 type ClientHalves = (Box<dyn BufRead>, Box<dyn Write>);
 
 impl ClientConn {
@@ -583,7 +584,7 @@ impl ClientConn {
                 let reader = stream.try_clone().map_err(CliError::from)?;
                 (
                     Box::new(BufReader::new(reader)) as Box<dyn BufRead>,
-                    Box::new(stream) as Box<dyn Write>,
+                    Box::new(BufWriter::new(stream)) as Box<dyn Write>,
                 )
             }
             #[cfg(unix)]
@@ -591,7 +592,7 @@ impl ClientConn {
                 let reader = stream.try_clone().map_err(CliError::from)?;
                 (
                     Box::new(BufReader::new(reader)) as Box<dyn BufRead>,
-                    Box::new(stream) as Box<dyn Write>,
+                    Box::new(BufWriter::new(stream)) as Box<dyn Write>,
                 )
             }
         })

@@ -48,7 +48,9 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xpsat_service::{error_response, oversized_response, Json, LineRead, LineReader};
+use xpsat_service::{
+    error_response, oversized_response, write_response_line, Json, LineRead, LineReader,
+};
 
 /// How long a connection thread blocks in one socket read before re-checking the
 /// lifecycle phase.
@@ -563,24 +565,20 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
         match shared.lifecycle.phase() {
             Phase::Stopped => return,
             phase => match listener.accept() {
-                Ok(mut conn) => {
+                Ok(conn) => {
                     if phase != Phase::Running {
                         // Draining: tell the client to go elsewhere, then close.
-                        let refusal = shutting_down_response("drain in progress");
-                        let _ = writeln!(conn, "{refusal}");
+                        refuse(conn, &shutting_down_response("drain in progress"));
                         continue;
                     }
                     match shared.conn_queue.try_push(conn) {
                         Ok(()) => ServerStats::bump(&shared.stats.connections_accepted),
-                        Err(PushError::Full(mut conn)) => {
+                        Err(PushError::Full(conn)) => {
                             ServerStats::bump(&shared.stats.connections_rejected);
-                            let refusal = overloaded_response("connection queue full");
-                            let _ = writeln!(conn, "{refusal}");
-                            // Dropping `conn` closes it.
+                            refuse(conn, &overloaded_response("connection queue full"));
                         }
-                        Err(PushError::Closed(mut conn)) => {
-                            let refusal = shutting_down_response("drain in progress");
-                            let _ = writeln!(conn, "{refusal}");
+                        Err(PushError::Closed(conn)) => {
+                            refuse(conn, &shutting_down_response("drain in progress"));
                         }
                     }
                 }
@@ -591,7 +589,16 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
     }
 }
 
+/// Answer a connection the accept loop turns away with one line, then close it.
+/// A failed write is ignored: the connection is dropped either way.
+fn refuse(mut conn: Conn, refusal: &Json) {
+    let _ = write_response_line(&mut conn, refusal, &mut String::new());
+}
+
 /// Serve one connection until EOF, error or server stop.
+///
+/// Every response goes out through [`write_response_line`] with one buffer
+/// reused for the whole connection, so each leaves in a single write.
 fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     let _ = conn.set_read_timeout(Some(READ_POLL));
     let _ = conn.set_write_timeout(shared.write_timeout);
@@ -600,6 +607,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(conn);
     let mut line_reader = LineReader::new(shared.max_line_bytes);
+    let mut encoded = String::new();
     // Slow-loris guard: set when the reader is mid-line (bytes received, no newline
     // yet); a client that stalls there past the configured timeout is dropped.  Idle
     // connections *between* requests never trip it.
@@ -627,10 +635,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                 line_started = None;
                 ServerStats::bump(&shared.stats.requests_oversized);
                 let response = oversized_response(shared.max_line_bytes);
-                if writeln!(writer, "{response}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if write_response_line(&mut writer, &response, &mut encoded).is_err() {
                     return;
                 }
             }
@@ -641,10 +646,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                     continue;
                 }
                 let response = handle_request_line(&line, shared);
-                if writeln!(writer, "{response}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if write_response_line(&mut writer, &response, &mut encoded).is_err() {
                     return;
                 }
                 if shared.lifecycle.phase() == Phase::Stopped {

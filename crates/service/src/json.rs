@@ -84,64 +84,90 @@ impl Json {
         }
         Ok(value)
     }
-}
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Append the compact JSON encoding of `self` to `out`.
+    ///
+    /// This is the one encoder: [`fmt::Display`] (and so `to_string`) delegates to
+    /// it, and the servers encode each response into a reused buffer with it so the
+    /// whole line leaves in one write.
+    pub fn encode_into(&self, out: &mut String) {
+        self.encode(out).expect("appending to a String cannot fail");
+    }
+
+    fn encode(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if !n.is_finite() {
                     // JSON has no inf/NaN; `null` keeps the output parseable, matching
                     // the standard behaviour of mainstream serialisers.
-                    write!(f, "null")
+                    out.write_str("null")
                 } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
+                    write!(out, "{}", *n as i64)
                 } else {
-                    write!(f, "{n}")
+                    write!(out, "{n}")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                write!(f, "[")?;
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_char(',')?;
                     }
-                    write!(f, "{item}")?;
+                    item.encode(out)?;
                 }
-                write!(f, "]")
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                write!(f, "{{")?;
+                out.write_char('{')?;
                 for (i, (key, value)) in members.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_char(',')?;
                     }
-                    write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
+                    write_escaped(out, key)?;
+                    out.write_char(':')?;
+                    value.encode(out)?;
                 }
-                write!(f, "}}")
+                out.write_char('}')
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.encode(f)
     }
-    write!(f, "\"")
+}
+
+/// Write `s` as a quoted JSON string, copying each run of bytes that needs no
+/// escape in one piece.  Every byte that does need one is ASCII, so the run
+/// boundaries always fall on UTF-8 character boundaries.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        // `None`: a control character without a short form, written as `\u00XX`.
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run_start..i])?;
+        match escape {
+            Some(short) => out.write_str(short)?,
+            None => write!(out, "\\u{byte:04x}")?,
+        }
+        run_start = i + 1;
+    }
+    out.write_str(&s[run_start..])?;
+    out.write_char('"')
 }
 
 /// A JSON syntax error with a byte offset.
@@ -442,6 +468,157 @@ mod tests {
     fn surrogate_pairs_decode() {
         let v = Json::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600}"));
+    }
+
+    /// The per-character encoder that `Display` used before [`Json::encode_into`]
+    /// existed, kept as the oracle the bulk-copy encoder must match byte for byte.
+    fn oracle(value: &Json, out: &mut String) {
+        use std::fmt::Write;
+        match value {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                write!(out, "{}", *n as i64).unwrap()
+            }
+            Json::Num(n) => write!(out, "{n}").unwrap(),
+            Json::Str(s) => oracle_escaped(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    oracle(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    oracle_escaped(key, out);
+                    out.push(':');
+                    oracle(value, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn oracle_escaped(s: &str, out: &mut String) {
+        use std::fmt::Write;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// SplitMix64, enough to drive a seeded corpus without an RNG crate.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random string over every control character, the two quoting characters,
+    /// plain ASCII and one- to four-byte UTF-8.
+    fn random_string(rng: &mut Rng) -> String {
+        const EXTRA: &[char] = &['"', '\\', '/', 'a', 'Z', ' ', '\u{7f}', 'é', '€', '😀'];
+        (0..rng.below(12))
+            .map(|_| {
+                let pick = rng.below(32 + EXTRA.len());
+                if pick < 32 {
+                    char::from_u32(pick as u32).unwrap()
+                } else {
+                    EXTRA[pick - 32]
+                }
+            })
+            .collect()
+    }
+
+    fn random_value(rng: &mut Rng, depth: usize) -> Json {
+        const NUMBERS: &[f64] = &[
+            0.0,
+            -0.0,
+            1.0,
+            -17.0,
+            0.5,
+            -2.25e-7,
+            1e300,
+            8_999_999_999_999_999.0,
+            9e15,
+            -9e15,
+            1.5e16,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+        ];
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => match rng.below(3) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 0),
+                _ => Json::Num(NUMBERS[rng.below(NUMBERS.len())]),
+            },
+            1 => Json::Num(rng.next() as i64 as f64 / (1 << rng.below(20)) as f64),
+            2 | 3 => Json::Str(random_string(rng)),
+            4 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn assert_matches_oracle(value: &Json) {
+        let mut expected = String::new();
+        oracle(value, &mut expected);
+        let mut encoded = String::from("prefix");
+        value.encode_into(&mut encoded);
+        assert_eq!(&encoded["prefix".len()..], expected, "{value:?}");
+        assert_eq!(value.to_string(), expected, "{value:?}");
+    }
+
+    #[test]
+    fn encode_into_matches_the_per_character_oracle() {
+        for code in 0..0x20u32 {
+            let c = char::from_u32(code).unwrap();
+            assert_matches_oracle(&Json::Str(format!("{c}")));
+            assert_matches_oracle(&Json::Str(format!("é{c}x{c}{c}😀")));
+        }
+        assert_matches_oracle(&Json::Str(String::new()));
+        assert_matches_oracle(&Json::Str("\"\\\"\\".to_string()));
+        let mut rng = Rng(0x2005_0613);
+        for _ in 0..2000 {
+            assert_matches_oracle(&random_value(&mut rng, 4));
+        }
     }
 
     #[test]

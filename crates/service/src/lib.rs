@@ -51,8 +51,8 @@ pub mod workspace;
 pub use canonical::CanonicalCache;
 pub use json::{Json, JsonError};
 pub use protocol::{
-    error_object, error_response, oversized_response, LineRead, LineReader, ProtocolError,
-    ProtocolServer, DEFAULT_MAX_LINE_BYTES,
+    error_object, error_response, oversized_response, write_response_line, LineRead, LineReader,
+    ProtocolError, ProtocolServer, DEFAULT_MAX_LINE_BYTES,
 };
 pub use session::Session;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -155,12 +155,15 @@ impl ProtocolServer {
 
     /// Handle one request line, producing one response line (without the newline).
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match Json::parse(line) {
+        self.respond(line).to_string()
+    }
+
+    fn respond(&self, line: &str) -> Json {
+        match Json::parse(line) {
             Err(e) => ProtocolError::new("malformed_request", format!("malformed request: {e}"))
                 .into_response(),
             Ok(request) => self.handle_request(&request),
-        };
-        response.to_string()
+        }
     }
 
     /// Handle one already-parsed request, producing the response object.  This is the
@@ -182,24 +185,20 @@ impl ProtocolServer {
     /// response without ever being buffered in full.
     pub fn serve(&self, mut input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
         let mut reader = LineReader::new(self.max_line_bytes);
+        let mut encoded = String::new();
         loop {
-            match reader.read_from(&mut input)? {
+            let response = match reader.read_from(&mut input)? {
                 LineRead::Eof => return Ok(()),
-                LineRead::Oversized => {
-                    writeln!(output, "{}", oversized_response(self.max_line_bytes))?;
-                }
+                LineRead::Oversized => oversized_response(self.max_line_bytes),
                 LineRead::Line => {
                     let line = String::from_utf8_lossy(reader.line()).into_owned();
                     if line.trim().is_empty() {
                         continue;
                     }
-                    writeln!(
-                        output,
-                        "{}",
-                        self.handle_line(line.trim_end_matches(['\n', '\r']))
-                    )?;
+                    self.respond(line.trim_end_matches(['\n', '\r']))
                 }
-            }
+            };
+            write_response_line(&mut output, &response, &mut encoded)?;
             output.flush()?;
         }
     }
@@ -671,6 +670,25 @@ pub fn oversized_response(max_line_bytes: usize) -> Json {
     response
 }
 
+/// Send `response` as one line: encode it plus its newline into `encoded` (cleared
+/// first, so a connection reuses one buffer) and hand the bytes over with a single
+/// `write_all`.
+///
+/// Both the stdio loop and the network server frame every response through here.
+/// Writing a `Json` through `write!` instead issues one write per formatting
+/// fragment; on an unbuffered `TCP_NODELAY` socket each becomes its own syscall and
+/// its own segment.
+pub fn write_response_line(
+    output: &mut impl Write,
+    response: &Json,
+    encoded: &mut String,
+) -> std::io::Result<()> {
+    encoded.clear();
+    response.encode_into(encoded);
+    encoded.push('\n');
+    output.write_all(encoded.as_bytes())
+}
+
 /// Result of reading one length-capped line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineRead {
@@ -1120,6 +1138,63 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
         assert!(lines[1].contains(r#""dtd_id":0"#), "{}", lines[1]);
+    }
+
+    /// Counts `write` calls, so a test can pin how many syscalls a response would
+    /// cost on an unbuffered socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        let response = Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            (
+                "witness",
+                Json::Str("<r>\n\t<a x=\"1\">é\\😀</a>\u{1}</r>".into()),
+            ),
+            (
+                "results",
+                Json::Arr((0..50).map(|i| Json::Num(f64::from(i))).collect()),
+            ),
+        ]);
+        let mut out = CountingWriter::default();
+        let mut encoded = String::new();
+        for round in 1..=3 {
+            write_response_line(&mut out, &response, &mut encoded).unwrap();
+            assert_eq!(out.writes, round);
+        }
+        let line = format!("{response}\n");
+        assert_eq!(out.bytes, line.repeat(3).as_bytes());
+
+        // The stdio loop frames through the same helper: one write per response,
+        // oversized refusals included.
+        let server = ProtocolServer::new(1);
+        let input = format!(
+            "{}\n{}\n{}\n",
+            r#"{"op":"register_dtd","dtd":"r -> a?; a -> #;"}"#,
+            r#"{"op":"check","dtd_id":0,"query":"a","witness":true}"#,
+            "x".repeat(server.max_line_bytes() + 1),
+        );
+        let mut out = CountingWriter::default();
+        server.serve(input.as_bytes(), &mut out).unwrap();
+        assert_eq!(out.writes, 3);
+        assert_eq!(out.bytes.iter().filter(|&&b| b == b'\n').count(), 3);
     }
 
     #[test]

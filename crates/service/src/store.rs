@@ -39,7 +39,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use xpsat_automata::BitSet;
 use xpsat_dtd::{parse_dtd, CompiledDtd, DtdClass, Normalization, Sym, SymNfa};
-use xpsat_plan::{DecisionProgram, MaskId, Op, Reg, TableId};
+use xpsat_plan::{fnv64, DecisionProgram, MaskId, Op, Reg, TableId};
 
 /// Format version; bump on any change to the serialised shape.
 /// v2 added the FNV-1a-64 integrity trailer.
@@ -55,21 +55,13 @@ const PROGRAM_MAGIC: &[u8; 8] = b"XPSATPRG";
 const NO_SYM: u32 = u32::MAX;
 
 /// FNV-1a-64 of the canonical DTD text: the on-disk key.
+///
+/// [`fnv64`] is also the entry integrity checksum: structural validation alone
+/// cannot catch a bit flip inside an automaton transition table (the damaged entry
+/// still decodes, then answers wrongly), so every entry carries a checksum trailer
+/// over its full body.
 pub fn canonical_key(canonical: &str) -> u64 {
     fnv64(canonical.as_bytes())
-}
-
-/// FNV-1a-64, also used as the entry integrity checksum: structural validation
-/// alone cannot catch a bit flip inside an automaton transition table (the damaged
-/// entry still decodes, then answers wrongly), so every entry carries a checksum
-/// trailer over its full body.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Why a [`ArtifactStore::load`] returned nothing.
@@ -570,8 +562,7 @@ fn decode_program(
     let canon_text = r.str()?;
     // Key collision or foreign entry: refuse, the caller recompiles.  The hash of
     // the stored text must also really be the key it was filed under.
-    if canon_text != expected_canon_text
-        || xpsat_plan::fnv64(&canon_text) != expected_canonical_hash
+    if canon_text != expected_canon_text || fnv64(canon_text.as_bytes()) != expected_canonical_hash
     {
         return None;
     }
@@ -852,6 +843,24 @@ mod tests {
     }
 
     #[test]
+    fn keys_and_checksums_match_existing_v2_entries() {
+        // Pinned from the entry an earlier v2 build wrote for this DTD: its file name
+        // (the canonical key) and its FNV-1a-64 trailer.  If either drifts, every
+        // existing cache directory silently turns into misses.
+        let dir = scratch_dir();
+        let store = ArtifactStore::open(&dir).unwrap();
+        let fresh = build("r -> a*, b; a -> c | d; b -> #; c -> #; d -> #; @a: id, lang;");
+        assert_eq!(fresh.fingerprint, 0x44a3_bdd3_ba9f_be9c);
+        store.save(&fresh).unwrap();
+        let bytes = std::fs::read(store.version_dir().join("44a3bdd3ba9fbe9c.art")).unwrap();
+        assert_eq!(bytes.len(), 581);
+        let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        assert_eq!(trailer, 0xbb75_ff8a_1e08_492e);
+        assert!(store.load(&fresh.canonical).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn rehydrated_artifacts_decide_identically() {
         let dir = scratch_dir();
         let store = ArtifactStore::open(&dir).unwrap();
@@ -940,7 +949,7 @@ mod tests {
         for text in ["a[c or d]", "b", "a[not(c)]", "a/c"] {
             let canon = xpsat_plan::canonicalize(&xpsat_xpath::parse_path(text).unwrap());
             let canon_text = canon.to_string();
-            let hash = xpsat_plan::fnv64(&canon_text);
+            let hash = fnv64(canon_text.as_bytes());
             let program = xpsat_plan::compile(&fresh.compiled, &canon, &limits)
                 .unwrap_or_else(|| panic!("{text} compiles"));
             assert!(!store.contains_program(fresh.fingerprint, hash));
@@ -972,7 +981,7 @@ mod tests {
         let fresh = build(DTD);
         let canon = xpsat_plan::canonicalize(&xpsat_xpath::parse_path("a[c and d]").unwrap());
         let canon_text = canon.to_string();
-        let hash = xpsat_plan::fnv64(&canon_text);
+        let hash = fnv64(canon_text.as_bytes());
         let program = xpsat_plan::compile(
             &fresh.compiled,
             &canon,
@@ -1009,7 +1018,7 @@ mod tests {
         ));
         // A key mismatch (entry filed under the wrong name) also refuses.
         std::fs::write(&path, &full).unwrap();
-        let other_hash = xpsat_plan::fnv64("zzz");
+        let other_hash = fnv64(b"zzz");
         std::fs::rename(
             &path,
             store.version_dir().join(format!(

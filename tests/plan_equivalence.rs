@@ -14,6 +14,9 @@
 //! * **collision probe**: across everything generated above, two queries share a
 //!   canonical hash only when they share the canonical form (and therefore a
 //!   decision), so hash-keyed cache lookups can never cross classes.
+//!
+//! `XPSAT_EQUIV_ITERS` scales the VM ≡ AST sweep (queries of each generator per
+//! DTD; the default keeps tier-1 runs fast, CI's soak step runs 40).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +28,13 @@ use xpsat_dtd::{parse_dtd, Dtd, DtdArtifacts};
 use xpsat_plan::{compile, vm, CanonicalQuery, CompileLimits, Scratch};
 use xpsat_service::verdict_fingerprint;
 use xpsat_xpath::{Path, Qualifier};
+
+fn iterations() -> usize {
+    std::env::var("XPSAT_EQUIV_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8)
+}
 
 fn corpus() -> Vec<Dtd> {
     let mut dtds: Vec<Dtd> = [
@@ -177,11 +187,12 @@ fn sweep_corpus() {
     let mut scratch = Scratch::new();
     let mut compiled = 0usize;
     let mut total = 0usize;
+    let iterations = iterations();
     for dtd in corpus() {
         let artifacts = DtdArtifacts::build(&dtd);
         let labels: Vec<String> = dtd.element_names();
         let mut rng = StdRng::seed_from_u64(0x2005_0613);
-        for _ in 0..40 {
+        for _ in 0..iterations {
             total += 1;
             if check_one(
                 &solver,
