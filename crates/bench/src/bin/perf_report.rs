@@ -332,7 +332,7 @@ fn run() {
                 let dtd_id = ws.register_dtd_value(batch_dtd.clone());
                 let ids: Vec<_> = batch_qs.iter().map(|q| ws.intern_path(q.clone())).collect();
                 let start = Instant::now();
-                std::hint::black_box(ws.decide_batch(dtd_id, &ids, threads).unwrap());
+                std::hint::black_box(ws.decide_batch(dtd_id, &ids, threads, None, None).unwrap());
                 start.elapsed().as_nanos() as f64 / batch_qs.len() as f64
             })
             .collect();
@@ -433,7 +433,7 @@ fn run() {
                 .iter()
                 .map(|q| publisher.intern_path(q.clone()))
                 .collect();
-            publisher.decide_batch(d, &ids, 1).unwrap();
+            publisher.decide_batch(d, &ids, 1, None, None).unwrap();
             shared_classes = shared.len();
 
             let mut subscriber = Workspace::default().with_canonical_cache(Arc::clone(&shared));
@@ -443,7 +443,7 @@ fn run() {
                 .map(|q| subscriber.intern_path(q.clone()))
                 .collect();
             let start = Instant::now();
-            std::hint::black_box(subscriber.decide_batch(d, &ids, 1).unwrap());
+            std::hint::black_box(subscriber.decide_batch(d, &ids, 1, None, None).unwrap());
             let per_query = start.elapsed().as_nanos() as f64 / batch_qs.len() as f64;
             shared_hits = subscriber.stats().canonical_hits;
             shared_recomputes = subscriber.stats().decisions_computed;

@@ -144,13 +144,7 @@ impl Solver {
             EngineKind::Positive
         } else if negation::supports_features(&features) {
             EngineKind::NegationFixpoint
-        } else if (features.has_upward()
-            && !features.negation
-            && !features.qualifier
-            && !features.union
-            && !features.has_recursion()
-            && !features.has_sibling()
-            && !features.data_value)
+        } else if upward_rewrite_applies(&features)
             || (features.has_recursion() && !artifacts.class().recursive)
         {
             EngineKind::Rewritten
@@ -161,6 +155,33 @@ impl Solver {
             vm_eligible,
             ast_engine,
         }
+    }
+}
+
+/// Theorem 6.8(2)'s gate: upward axes without negation, qualifiers, union,
+/// recursive or sibling axes, or data values rewrite to a downward query.
+fn upward_rewrite_applies(features: &Features) -> bool {
+    features.has_upward()
+        && !features.negation
+        && !features.qualifier
+        && !features.union
+        && !features.has_recursion()
+        && !features.has_sibling()
+        && !features.data_value
+}
+
+/// The positive engine as a dispatch step: `None` when it rejects the instance, so
+/// dispatch moves on.
+fn positive_step(artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Option<Decision> {
+    match positive::decide_with_budget(artifacts, query, meter) {
+        Err(cause) => Some(Decision::exhausted(EngineKind::Positive, cause)),
+        Ok(Ok(result)) => Some(Decision {
+            result,
+            engine: EngineKind::Positive,
+            complete: true,
+            exhausted: None,
+        }),
+        Ok(Err(_)) => None,
     }
 }
 
@@ -355,45 +376,18 @@ impl Solver {
                     };
                 }
             }
-            match positive::decide_with_budget(artifacts, query, &meter) {
-                Err(cause) => return Decision::exhausted(EngineKind::Positive, cause),
-                Ok(Ok(result)) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::Positive,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-                Ok(Err(_)) => {}
+            if let Some(decision) = positive_step(artifacts, query, &meter) {
+                return decision;
             }
         }
         if negation::supports_features(&features) {
-            match self.decide_negation_cached(artifacts, query, &meter) {
-                Ok(result) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::NegationFixpoint,
-                        complete: true,
-                        exhausted: None,
-                    }
-                }
-                Err(EngineFailure::Exhausted(cause)) => {
-                    return Decision::exhausted(EngineKind::NegationFixpoint, cause)
-                }
-                Err(EngineFailure::Rejected) => {}
+            if let Some(decision) = self.negation_step(artifacts, query, &meter) {
+                return decision;
             }
         }
         // Upward axes without qualifiers/union/recursion: Theorem 6.8(2)'s rewriting
         // turns the query into a downward one (or proves it unsatisfiable at the root).
-        if features.has_upward()
-            && !features.negation
-            && !features.qualifier
-            && !features.union
-            && !features.has_recursion()
-            && !features.has_sibling()
-            && !features.data_value
-        {
+        if upward_rewrite_applies(&features) {
             return match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
                 None => Decision {
                     result: Satisfiability::Unsatisfiable,
@@ -438,44 +432,49 @@ impl Solver {
         self.enumerate(artifacts, query, &meter)
     }
 
-    /// Second-round dispatch used after recursion elimination (never recurses further).
+    /// Second-round dispatch used after recursion elimination (never recurses
+    /// further): the positive and negation steps of [`Solver::decide_budgeted`],
+    /// without its disjunction-free shortcut or sibling step, then enumeration.
     fn decide_no_recursion_retry(
         &self,
         artifacts: &DtdArtifacts,
         query: &Path,
         meter: &BudgetMeter,
     ) -> Decision {
-        if positive::supports(query) {
-            match positive::decide_with_budget(artifacts, query, meter) {
-                Err(cause) => return Decision::exhausted(EngineKind::Positive, cause),
-                Ok(Ok(result)) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::Positive,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-                Ok(Err(_)) => {}
+        let features = Features::of_path(query);
+        if positive::supports_features(&features) {
+            if let Some(decision) = positive_step(artifacts, query, meter) {
+                return decision;
             }
         }
-        if negation::supports(query) {
-            match self.decide_negation_cached(artifacts, query, meter) {
-                Ok(result) => {
-                    return Decision {
-                        result,
-                        engine: EngineKind::NegationFixpoint,
-                        complete: true,
-                        exhausted: None,
-                    }
-                }
-                Err(EngineFailure::Exhausted(cause)) => {
-                    return Decision::exhausted(EngineKind::NegationFixpoint, cause)
-                }
-                Err(EngineFailure::Rejected) => {}
+        if negation::supports_features(&features) {
+            if let Some(decision) = self.negation_step(artifacts, query, meter) {
+                return decision;
             }
         }
         self.enumerate(artifacts, query, meter)
+    }
+
+    /// The negation-fixpoint engine as a dispatch step: `None` when it rejects the
+    /// instance, so dispatch moves on.
+    fn negation_step(
+        &self,
+        artifacts: &DtdArtifacts,
+        query: &Path,
+        meter: &BudgetMeter,
+    ) -> Option<Decision> {
+        match self.decide_negation_cached(artifacts, query, meter) {
+            Ok(result) => Some(Decision {
+                result,
+                engine: EngineKind::NegationFixpoint,
+                complete: true,
+                exhausted: None,
+            }),
+            Err(EngineFailure::Exhausted(cause)) => {
+                Some(Decision::exhausted(EngineKind::NegationFixpoint, cause))
+            }
+            Err(EngineFailure::Rejected) => None,
+        }
     }
 
     fn enumerate(&self, artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Decision {

@@ -12,10 +12,10 @@
 //!   content model are computed once and cached as [`DtdArtifacts`].  Queries are
 //!   interned by canonical text ([`QueryId`]), and decisions are memoised per
 //!   `(DtdId, QueryId)` with engine provenance ([`ServedDecision`]).
-//! * [`Workspace::decide_batch`] — fan independent queries out across worker threads
-//!   (`std::thread::scope`, no extra dependencies) with deterministic, input-ordered
-//!   results that are byte-identical to a sequential [`xpsat_core::Solver::decide`]
-//!   loop.
+//! * [`Workspace::decide_batch`] — fan a batch's uncached structural classes out
+//!   across worker threads (`std::thread::scope`, no extra dependencies) with
+//!   deterministic, input-ordered results identical to a sequential
+//!   [`Workspace::decide`] loop.
 //! * [`Session`] — a text-in/decision-out convenience wrapper tracking a current DTD.
 //! * [`ProtocolServer`] — a JSON-lines request/response protocol (`register_dtd`,
 //!   `check`, `batch`, `classify`, `stats`) so the service can be driven as a real
@@ -58,9 +58,8 @@ pub use session::Session;
 pub use stats::{CacheStats, StatsSnapshot};
 pub use store::{canonical_key, ArtifactStore, StoreMiss, STORE_VERSION};
 pub use workspace::{
-    decision_fingerprint, effective_threads, engine_slug, verdict_fingerprint, BatchScratch,
-    DtdArtifacts, DtdId, ErrorSpan, InternedQuery, QueryId, RegisterOutcome, ServedDecision,
-    ServiceError, Workspace,
+    decision_fingerprint, effective_threads, engine_slug, verdict_fingerprint, DtdArtifacts, DtdId,
+    ErrorSpan, InternedQuery, QueryId, RegisterOutcome, ServedDecision, ServiceError, Workspace,
 };
 pub use xpsat_plan::DecisionProgram;
 
@@ -207,25 +206,107 @@ mod tests {
         assert!(ws.intern("[[[").is_err());
     }
 
+    /// The decide-path counters a served query moves, plus the work behind them.
+    fn decide_counters(stats: &StatsSnapshot) -> [u64; 6] {
+        [
+            stats.decision_cache_hits,
+            stats.canonical_hits,
+            stats.decisions_computed,
+            stats.programs_compiled,
+            stats.vm_decides,
+            stats.program_fallbacks,
+        ]
+    }
+
+    fn counter_delta(before: &StatsSnapshot, after: &StatsSnapshot) -> [u64; 6] {
+        let (before, after) = (decide_counters(before), decide_counters(after));
+        std::array::from_fn(|i| after[i] - before[i])
+    }
+
     #[test]
     fn batch_is_deterministic_across_thread_counts() {
-        let mut ws = Workspace::default();
-        let dtd_id = ws.register_dtd(DTD).unwrap();
         let texts = ["a/b", "a[b]", "a[not(b)]", "a/b", "c", "a[b or c]", "b/d"];
-        let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
-        let single = ws.decide_batch(dtd_id, &ids, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let mut fresh = Workspace::default();
-            let d = fresh.register_dtd(DTD).unwrap();
-            let fresh_ids: Vec<QueryId> = texts.iter().map(|t| fresh.intern(t).unwrap()).collect();
-            let multi = fresh.decide_batch(d, &fresh_ids, threads).unwrap();
-            assert_eq!(single.len(), multi.len());
-            for (a, b) in single.iter().zip(&multi) {
+        let setup = || {
+            let mut ws = Workspace::default();
+            let d = ws.register_dtd(DTD).unwrap();
+            let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
+            (ws, d, ids)
+        };
+        // The reference: a sequential decide loop over a fresh workspace.
+        let (seq, d, ids) = setup();
+        let before = seq.stats();
+        let sequential: Vec<ServedDecision> =
+            ids.iter().map(|&q| seq.decide(d, q).unwrap()).collect();
+        let seq_delta = counter_delta(&before, &seq.stats());
+        for threads in [1, 2, 4, 8] {
+            let (ws, d, ids) = setup();
+            let before = ws.stats();
+            let batch = ws.decide_batch(d, &ids, threads, None, None).unwrap();
+            assert_eq!(sequential.len(), batch.len());
+            for (a, b) in sequential.iter().zip(&batch) {
                 assert_eq!(
                     decision_fingerprint(&a.decision),
                     decision_fingerprint(&b.decision)
                 );
+                assert_eq!(a.cached, b.cached, "threads={threads}");
             }
+            assert_eq!(
+                counter_delta(&before, &ws.stats()),
+                seq_delta,
+                "threads={threads}"
+            );
         }
+    }
+
+    #[test]
+    fn cross_tenant_hits_count_once_through_check_and_batch() {
+        let dtd = "r -> a*; a -> b, c; b -> #; c -> #;";
+        // Two published classes (one asked in two spellings and once repeated) and
+        // one class nobody has decided yet.
+        let queries = ["a[b and c]", "a[c][b]", "a/b", "a/c", "a[b and c]"];
+        // A tenant serving from a canonical cache into which another tenant has
+        // published `a[b and c]` and `a/b` (a fresh cache per subscriber, so the
+        // second one does not see the first one's work).
+        let subscriber = || {
+            let shared = Arc::new(CanonicalCache::new());
+            let mut publisher = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+            let d = publisher.register_dtd(dtd).unwrap();
+            for text in ["a[b and c]", "a/b"] {
+                let q = publisher.intern(text).unwrap();
+                publisher.decide(d, q).unwrap();
+            }
+            assert_eq!(shared.len(), 2);
+            let server = ProtocolServer::with_workspace(
+                Workspace::default().with_canonical_cache(shared),
+                1,
+            );
+            let reg = server.handle_line(&format!(r#"{{"op":"register_dtd","dtd":"{dtd}"}}"#));
+            assert!(reg.contains(r#""ok":true"#), "{reg}");
+            server
+        };
+        let counters = |server: &ProtocolServer| {
+            let stats = server.workspace().stats();
+            [
+                stats.decision_cache_hits,
+                stats.canonical_hits,
+                stats.decisions_computed,
+            ]
+        };
+
+        let checks = subscriber();
+        for text in queries {
+            let line = format!(r#"{{"op":"check","dtd_id":0,"query":"{text}"}}"#);
+            let response = checks.handle_line(&line);
+            assert!(response.contains(r#""ok":true"#), "{response}");
+        }
+        let batch = subscriber();
+        let list = queries.map(|t| format!("\"{t}\"")).join(",");
+        let line = format!(r#"{{"op":"batch","dtd_id":0,"queries":[{list}],"threads":1}}"#);
+        let response = batch.handle_line(&line);
+        assert!(response.contains(r#""ok":true"#), "{response}");
+
+        assert_eq!(counters(&checks), [2, 2, 1]);
+        assert_eq!(counters(&batch), counters(&checks));
+        assert_eq!(counters(&batch).iter().sum::<u64>(), queries.len() as u64);
     }
 }

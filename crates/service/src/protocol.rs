@@ -33,9 +33,9 @@
 //! malformed line never kills the loop.
 
 use crate::json::Json;
-use crate::workspace::{engine_slug, BatchScratch, DtdId, ServedDecision, ServiceError, Workspace};
+use crate::workspace::{engine_slug, DtdId, ServedDecision, ServiceError, Workspace};
 use std::io::{BufRead, Write};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use xpsat_core::{Exhausted, Satisfiability};
 
@@ -56,10 +56,6 @@ pub struct ProtocolServer {
     default_max_steps: Option<u64>,
     max_line_bytes: usize,
     debug_ops: bool,
-    /// Shared batch scratch buffers.  Contended takers fall back to a fresh local
-    /// scratch instead of blocking, so the amortisation is an optimisation, never a
-    /// serialisation point.
-    scratch: Mutex<BatchScratch>,
 }
 
 impl Default for ProtocolServer {
@@ -85,7 +81,6 @@ impl ProtocolServer {
             default_max_steps: None,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             debug_ops: false,
-            scratch: Mutex::new(BatchScratch::default()),
         }
     }
 
@@ -104,17 +99,6 @@ impl ProtocolServer {
         self.workspace
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Run `f` with batch scratch buffers: the shared (amortised) ones when free,
-    /// else a fresh local set — a contended scratch must never serialise independent
-    /// batches.
-    fn with_scratch<T>(&self, f: impl FnOnce(&mut BatchScratch) -> T) -> T {
-        match self.scratch.try_lock() {
-            Ok(mut guard) => f(&mut guard),
-            Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => f(&mut BatchScratch::default()),
-        }
     }
 
     /// Enable the fault-injection ops (`debug_panic`), used by the resilience tests
@@ -291,18 +275,10 @@ impl ProtocolServer {
         // read lock, concurrently with other requests.
         let query = self.write_ws().intern(text)?;
         let ws = self.read_ws();
-        let served = if deadline.is_some() || max_steps.is_some() {
-            // A single-query "batch" gives the check path the same deadline and
-            // budget machinery; the result (and the cached flag) is identical to
-            // decide().
-            self.with_scratch(|scratch| {
-                ws.decide_batch_governed(dtd, &[query], 1, deadline, max_steps, scratch)
-            })?
+        let served = ws
+            .decide_batch(dtd, &[query], 1, deadline, max_steps)?
             .pop()
-            .expect("one decision per query")
-        } else {
-            ws.decide(dtd, query)?
-        };
+            .expect("one decision per query");
         // A spent step budget is a request-level failure for `check` (a deadline hit
         // already surfaced as ServiceError::DeadlineExceeded above).
         if let Some(cause) = served.decision.exhausted {
@@ -353,9 +329,7 @@ impl ProtocolServer {
             }
         }
         let ws = self.read_ws();
-        let served = self.with_scratch(|scratch| {
-            ws.decide_batch_governed(dtd, &ids, threads, deadline, max_steps, scratch)
-        })?;
+        let served = ws.decide_batch(dtd, &ids, threads, deadline, max_steps)?;
         let mut results = Vec::with_capacity(served.len());
         for (id, one) in ids.iter().zip(&served) {
             let mut fields = vec![("query", Json::Str(ws.query(*id)?.canonical.clone()))];

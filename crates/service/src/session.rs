@@ -67,7 +67,7 @@ impl Session {
             .iter()
             .map(|q| self.workspace.intern(q.as_ref()))
             .collect::<Result<Vec<_>, _>>()?;
-        self.workspace.decide_batch(dtd, &ids, threads)
+        self.workspace.decide_batch(dtd, &ids, threads, None, None)
     }
 
     /// The underlying workspace (read access: artifacts, stats).

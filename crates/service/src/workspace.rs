@@ -9,7 +9,7 @@
 //! Queries are interned by canonical text so repeated paths share one [`QueryId`],
 //! grouped further into *structural equivalence classes* by the plan compiler's
 //! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class
-//! through a memoised `(DtdId, representative)` decision cache.  Classes inside the
+//! through a memoised `(DtdId, representative)` class table.  Classes inside the
 //! compiled fragment are lowered once to a flat [`DecisionProgram`] and every
 //! decision replays it in the allocation-free plan VM; the AST [`Solver`] remains
 //! the oracle for everything else.  Workspaces can additionally share a
@@ -19,23 +19,25 @@
 //! Registered artifacts are held as [`Arc<DtdArtifacts>`] behind per-slot residency:
 //! with a [`Workspace::with_resident_bound`] in force, the least-recently-used compiled
 //! artifacts are dropped from memory once the bound is exceeded and transparently
-//! *rematerialised* on next touch — from the optional persistent
-//! [`ArtifactStore`](crate::store::ArtifactStore) when one is attached
-//! ([`Workspace::with_store`]), else by recompiling from the canonical text.  Ids,
-//! interned queries and cached decisions all survive eviction.
+//! *rematerialised* on next touch — from the optional persistent [`ArtifactStore`]
+//! when one is attached ([`Workspace::with_store`]), else by recompiling from the
+//! canonical text.  Ids, interned queries and cached decisions all survive eviction.
 //!
-//! All `decide` paths take `&self` (the cache is lock-striped), so one workspace can
-//! be shared across the worker threads of [`Workspace::decide_batch`].  Decisions are
-//! stored and served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
+//! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
+//! look the class up in the lock-striped class table (decision and compiled program
+//! per `(DtdId, representative)`), then in the shared canonical cache; on a miss,
+//! compute it and publish the result.  Both take `&self`, so one workspace can be
+//! shared across batch workers and concurrent requests.  Decisions are stored and
+//! served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
 //! witness-document clone.
 
 use crate::canonical::CanonicalCache;
 use crate::stats::{CacheStats, StatsSnapshot};
 use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver, SolverConfig};
 use xpsat_dtd::{normalize, parse_dtd, Dtd, DtdClass, Normalization};
@@ -48,78 +50,90 @@ thread_local! {
     static VM_SCRATCH: RefCell<xpsat_plan::Scratch> = RefCell::new(xpsat_plan::Scratch::new());
 }
 
-/// Number of lock stripes in the decision cache (a power of two).
+/// Number of lock stripes in the class table (a power of two).
 ///
 /// Worker threads of [`Workspace::decide_batch`] and concurrent [`Workspace::decide`]
 /// callers contend only when their `(DtdId, QueryId)` keys hash to the same stripe, so
 /// the effective contention drops by roughly this factor compared to one global mutex.
-const CACHE_SHARDS: usize = 16;
+const CLASS_STRIPES: usize = 16;
 
-/// One stripe of the decision cache.
-type CacheShard = Mutex<HashMap<(DtdId, QueryId), Arc<Decision>>>;
-
-/// One stripe of the compiled-program cache.  `None` records "outside the compiled
-/// fragment" so the bail is also paid once per class.
-type ProgramShard = Mutex<HashMap<(DtdId, QueryId), Option<Arc<DecisionProgram>>>>;
-
-/// Lock a mutex, recovering from poison.  Everything guarded this way (cache stripes,
-/// residency slots) holds plain data whose every intermediate state is valid, so a
-/// panic while the lock was held — e.g. a panicking engine isolated by the server's
-/// `catch_unwind` — must not wedge the structure for every later request.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock a mutex, recovering from poison.  Everything guarded this way (class-table
+/// stripes, residency slots) holds plain data whose every intermediate state is
+/// valid, so a panic while the lock was held — e.g. a panicking engine isolated by
+/// the server's `catch_unwind` — must not wedge the structure for every later request.
+fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The lock-striped memoised decision cache.
-#[derive(Debug)]
-struct ShardedCache {
-    shards: Vec<CacheShard>,
+/// A structural class against one DTD: the DTD and the class representative.
+type ClassKey = (DtdId, QueryId);
+
+/// What the workspace knows about one structural class against one DTD.
+#[derive(Debug, Default)]
+struct ClassEntry {
+    /// The published decision (never an exhausted one).
+    decision: Option<Arc<Decision>>,
+    /// The compiled program once resolved; `Some(None)` records that the class is
+    /// outside the compiled fragment, so the bail is also paid once per class.
+    program: Option<Option<Arc<DecisionProgram>>>,
 }
 
-impl ShardedCache {
-    fn new() -> ShardedCache {
-        ShardedCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+/// The lock-striped class table: one [`ClassEntry`] per [`ClassKey`].
+/// Racing writers of one entry keep the first value, so served output stays
+/// deterministic.
+#[derive(Debug)]
+struct ClassTable {
+    stripes: Vec<Mutex<HashMap<ClassKey, ClassEntry>>>,
+}
+
+impl ClassTable {
+    fn new() -> ClassTable {
+        ClassTable {
+            stripes: (0..CLASS_STRIPES).map(|_| Mutex::default()).collect(),
         }
     }
 
     /// The stripe of a key: a multiplicative hash over both ids, taken from the high
     /// bits (the ids themselves are small sequential integers, so masking low bits
     /// directly would stripe poorly for single-DTD batches).
-    fn shard_index(key: &(DtdId, QueryId)) -> usize {
+    fn stripe(&self, key: &ClassKey) -> MutexGuard<'_, HashMap<ClassKey, ClassEntry>> {
         let h = (key.0 .0 as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((key.1 .0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        ((h >> 32) as usize) & (CACHE_SHARDS - 1)
+        lock_recovering(&self.stripes[((h >> 32) as usize) & (CLASS_STRIPES - 1)])
     }
 
-    fn get(&self, key: &(DtdId, QueryId)) -> Option<Arc<Decision>> {
-        lock_recovering(&self.shards[Self::shard_index(key)])
-            .get(key)
-            .cloned()
+    fn decision(&self, key: &ClassKey) -> Option<Arc<Decision>> {
+        self.stripe(key).get(key)?.decision.clone()
     }
 
-    /// Insert unless the key is already present; returns the decision that ended up
-    /// stored (the existing one wins a race, keeping served output deterministic).
-    fn insert_if_absent(&self, key: (DtdId, QueryId), decision: Decision) -> Arc<Decision> {
-        lock_recovering(&self.shards[Self::shard_index(&key)])
+    /// Publish a decision unless one is already there; returns the stored decision.
+    fn publish(&self, key: ClassKey, decision: Arc<Decision>) -> Arc<Decision> {
+        self.stripe(&key)
             .entry(key)
-            .or_insert_with(|| Arc::new(decision))
+            .or_default()
+            .decision
+            .get_or_insert(decision)
             .clone()
     }
 
-    /// [`ShardedCache::insert_if_absent`] for an already-shared decision (a hit from
-    /// the cross-workspace canonical cache republished locally).
-    fn insert_arc_if_absent(
+    fn program(&self, key: &ClassKey) -> Option<Option<Arc<DecisionProgram>>> {
+        self.stripe(key).get(key)?.program.clone()
+    }
+
+    /// Record a resolved program unless one is already there; returns the stored one.
+    fn settle_program(
         &self,
-        key: (DtdId, QueryId),
-        decision: Arc<Decision>,
-    ) -> Arc<Decision> {
-        lock_recovering(&self.shards[Self::shard_index(&key)])
+        key: ClassKey,
+        program: Option<Arc<DecisionProgram>>,
+    ) -> Option<Arc<DecisionProgram>> {
+        self.stripe(&key)
             .entry(key)
-            .or_insert(decision)
+            .or_default()
+            .program
+            .get_or_insert(program)
             .clone()
     }
 }
@@ -206,6 +220,15 @@ pub struct ServedDecision {
     pub cached: bool,
 }
 
+/// What [`Workspace::lookup`] found for a class.
+enum Lookup {
+    /// Served from the class table or the shared canonical cache.
+    Hit(Arc<Decision>),
+    /// Not decided yet; carries the DTD's artifacts for
+    /// [`Workspace::compute_and_publish`].
+    Miss(Arc<DtdArtifacts>),
+}
+
 /// What a registration did, beyond handing back the id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegisterOutcome {
@@ -287,19 +310,6 @@ struct DtdSlot {
     last_used: AtomicU64,
 }
 
-/// Reusable buffers for [`Workspace::decide_batch_with`]: per-worker result arenas and
-/// the bookkeeping vectors of the lookup phase.  A long-lived caller (the protocol
-/// server) keeps one scratch per connection worker, so steady-state batches allocate
-/// only their output vector.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    worker_buffers: Vec<Vec<(QueryId, Decision)>>,
-    distinct: Vec<QueryId>,
-    by_shard: Vec<Vec<QueryId>>,
-    missing: Vec<QueryId>,
-    resolved: HashMap<QueryId, Arc<Decision>>,
-}
-
 /// The satisfiability service: DTD registry, query interner, decision cache.
 #[derive(Debug)]
 pub struct Workspace {
@@ -315,10 +325,8 @@ pub struct Workspace {
     /// Structural-class representatives: canonical (plan) text → the first interned
     /// member.  Later spellings intern to fresh ids but share the representative.
     query_by_canon_text: HashMap<String, QueryId>,
-    cache: ShardedCache,
-    /// Compiled decision programs, keyed like the decision cache (on the class
-    /// representative).
-    programs: Vec<ProgramShard>,
+    /// Decisions and compiled programs, keyed on `(DtdId, class representative)`.
+    classes: ClassTable,
     /// Optional cross-workspace canonical decision cache (shared between tenants).
     canonical: Option<Arc<CanonicalCache>>,
     stats: CacheStats,
@@ -347,8 +355,7 @@ impl Workspace {
             queries: Vec::new(),
             query_by_canonical: HashMap::new(),
             query_by_canon_text: HashMap::new(),
-            cache: ShardedCache::new(),
-            programs: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            classes: ClassTable::new(),
             canonical: None,
             stats: CacheStats::default(),
             store: None,
@@ -623,108 +630,275 @@ impl Workspace {
     }
 
     // ---- deciding --------------------------------------------------------------
+    //
+    // Both request shapes run one per-class pipeline: `lookup` serves a structural
+    // class from the class table or the shared canonical cache, and on a miss
+    // `compute_and_publish` decides it and publishes the result.
 
-    /// Decide one `(dtd, query)` instance, serving from the memoised cache when the
-    /// pair has been decided before.
+    /// Decide one `(dtd, query)` instance under the workspace's default budget,
+    /// serving from the class table when the query's structural class has been
+    /// decided before.
     pub fn decide(&self, dtd: DtdId, query: QueryId) -> Result<ServedDecision, ServiceError> {
-        let budget = self.default_budget;
-        self.decide_governed(dtd, query, &budget)
-    }
-
-    /// [`Workspace::decide`] under an explicit per-call [`Budget`].  A decision that
-    /// exhausts its budget is returned (result `Unknown`, [`Decision::exhausted`] set)
-    /// but **never cached**: the verdict reflects the caller's allowance, not the
-    /// instance, so a later caller with a larger budget must get a fresh run.
-    pub fn decide_governed(
-        &self,
-        dtd: DtdId,
-        query: QueryId,
-        budget: &Budget,
-    ) -> Result<ServedDecision, ServiceError> {
-        self.query(query)?;
-        // All caching keys on the structural class representative, so every spelling
-        // of an instance is decided at most once per workspace.
-        let rep = self.queries[query.0].rep;
-        let key = (dtd, rep);
-        if let Some(hit) = self.cache.get(&key) {
-            // A cache hit must still validate the id (the artifacts call does both).
-            if dtd.0 >= self.dtds.len() {
-                return Err(ServiceError::UnknownDtd(dtd.0));
-            }
-            CacheStats::bump(&self.stats.decision_cache_hits);
-            return Ok(ServedDecision {
-                decision: hit,
+        let rep = self.query(query)?.rep;
+        Ok(match self.lookup(dtd, rep)? {
+            Lookup::Hit(decision) => ServedDecision {
+                decision,
                 cached: true,
-            });
-        }
-        let artifacts = self.artifacts(dtd)?;
-        if let Some(hit) = self.shared_lookup(&artifacts, rep) {
-            return Ok(ServedDecision {
-                decision: self.cache.insert_arc_if_absent(key, hit),
-                cached: true,
-            });
-        }
-        let decision = self.compute(dtd, rep, &artifacts, budget);
-        CacheStats::bump(&self.stats.decisions_computed);
-        if decision.exhausted.is_some() {
-            CacheStats::bump(&self.stats.resource_exhausted);
-            return Ok(ServedDecision {
-                decision: Arc::new(decision),
+            },
+            Lookup::Miss(artifacts) => ServedDecision {
+                decision: self.compute_and_publish(dtd, rep, &artifacts, &self.default_budget),
                 cached: false,
-            });
-        }
-        let stored = self.cache.insert_if_absent(key, decision);
-        self.publish_shared(&artifacts, rep, &stored);
-        Ok(ServedDecision {
-            decision: stored,
-            cached: false,
+            },
         })
     }
 
-    /// Look an instance up in the shared canonical cache (if one is attached),
-    /// counting the hit.
-    fn shared_lookup(&self, artifacts: &DtdArtifacts, rep: QueryId) -> Option<Arc<Decision>> {
-        let shared = self.canonical.as_ref()?;
-        let hit = shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text)?;
-        CacheStats::bump(&self.stats.canonical_hits);
-        Some(hit)
+    /// Decide many queries against one registered DTD.  `results[i]` always
+    /// corresponds to `queries[i]`, and decisions, `cached` flags and counters are
+    /// identical to a sequential [`Workspace::decide`] loop over the same queries
+    /// (except that a budget-exhausted class runs once per batch and its repeats
+    /// share that run).
+    ///
+    /// The batch is deduplicated to structural classes and every class is looked up
+    /// inline; only the misses are computed, on up to `threads` workers.  A batch
+    /// without misses spawns no thread.
+    ///
+    /// * `max_steps` — per-*decision* step fuel (the workspace's default budget when
+    ///   `None`).  A decision that spends it comes back `Unknown` with
+    ///   [`Decision::exhausted`] set; it is returned in its slot but never published,
+    ///   and the batch keeps going.
+    /// * `deadline` — checked between classes and threaded into the engines, so a
+    ///   single monster decision is interrupted mid-fixpoint.  Once it passes, the
+    ///   batch stops, keeps what it already published (a retry resumes rather than
+    ///   restarts), bumps `deadline_exceeded` and returns
+    ///   [`ServiceError::DeadlineExceeded`].
+    pub fn decide_batch(
+        &self,
+        dtd: DtdId,
+        queries: &[QueryId],
+        threads: usize,
+        deadline: Option<Instant>,
+        max_steps: Option<u64>,
+    ) -> Result<Vec<ServedDecision>, ServiceError> {
+        self.check_dtd(dtd)?;
+        let mut reps = Vec::with_capacity(queries.len());
+        for &q in queries {
+            reps.push(self.query(q)?.rep);
+        }
+        // Every spelling of a structural class is one unit of work.
+        reps.sort_unstable();
+        reps.dedup();
+        let decided: Vec<OnceLock<Arc<Decision>>> = reps.iter().map(|_| OnceLock::new()).collect();
+        let mut misses = Vec::new();
+        let mut artifacts = None;
+        for (&rep, slot) in reps.iter().zip(&decided) {
+            match self.lookup(dtd, rep)? {
+                Lookup::Hit(decision) => {
+                    let _ = slot.set(decision);
+                }
+                Lookup::Miss(found) => {
+                    misses.push((rep, slot));
+                    artifacts.get_or_insert(found);
+                }
+            }
+        }
+        if let Some(artifacts) = artifacts {
+            let budget = Budget {
+                max_steps: max_steps.or(self.default_budget.max_steps),
+                deadline: deadline.or(self.default_budget.deadline),
+            };
+            if self.compute_misses(dtd, &misses, &artifacts, &budget, threads) {
+                CacheStats::bump(&self.stats.deadline_exceeded);
+                return Err(ServiceError::DeadlineExceeded);
+            }
+        }
+
+        // The first query of a missed class is served as computed; the first query
+        // of any other class was counted by its lookup, and every repeat is a local
+        // hit — exactly what a sequential decide loop sees.
+        let mut repeat = vec![false; reps.len()];
+        let out = queries
+            .iter()
+            .map(|&q| {
+                let i = reps
+                    .binary_search(&self.queries[q.0].rep)
+                    .expect("every query's class is in the batch");
+                let again = std::mem::replace(&mut repeat[i], true);
+                if again {
+                    CacheStats::bump(&self.stats.decision_cache_hits);
+                }
+                let computed = misses
+                    .binary_search_by_key(&reps[i], |&(rep, _)| rep)
+                    .is_ok();
+                ServedDecision {
+                    decision: Arc::clone(decided[i].get().expect("every class was decided")),
+                    cached: again || !computed,
+                }
+            })
+            .collect();
+        Ok(out)
     }
 
-    /// Publish a complete, unexhausted decision to the shared canonical cache (if one
-    /// is attached).  Partial or budget-capped verdicts reflect one caller's
-    /// allowance and must never cross workspaces.
-    fn publish_shared(&self, artifacts: &DtdArtifacts, rep: QueryId, decision: &Arc<Decision>) {
-        if !decision.complete || decision.exhausted.is_some() {
-            return;
+    /// Fail with [`ServiceError::UnknownDtd`] unless `dtd` is registered.
+    fn check_dtd(&self, dtd: DtdId) -> Result<(), ServiceError> {
+        if dtd.0 < self.dtds.len() {
+            Ok(())
+        } else {
+            Err(ServiceError::UnknownDtd(dtd.0))
         }
+    }
+
+    /// Probe the class table, then the shared canonical cache, for a class
+    /// representative, counting the hit.  A class-table hit never touches the DTD's
+    /// artifacts, so an evicted DTD's decisions are served without rematerialising
+    /// it; a canonical hit is republished into the class table.
+    fn lookup(&self, dtd: DtdId, rep: QueryId) -> Result<Lookup, ServiceError> {
+        self.check_dtd(dtd)?;
+        if let Some(hit) = self.classes.decision(&(dtd, rep)) {
+            CacheStats::bump(&self.stats.decision_cache_hits);
+            return Ok(Lookup::Hit(hit));
+        }
+        let artifacts = self.artifacts(dtd)?;
         if let Some(shared) = &self.canonical {
+            if let Some(hit) = shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text) {
+                CacheStats::bump(&self.stats.canonical_hits);
+                return Ok(Lookup::Hit(self.classes.publish((dtd, rep), hit)));
+            }
+        }
+        Ok(Lookup::Miss(artifacts))
+    }
+
+    /// Decide a class representative that missed [`Workspace::lookup`]: replay its
+    /// compiled program in the VM when the class is inside the compiled fragment,
+    /// else run the AST solver on the canonical path (so engine dispatch, like the
+    /// caches, sees one spelling per class).  The decision is published to the class
+    /// table and, when complete, to the shared canonical cache — unless it exhausted
+    /// its budget: such an `Unknown` reflects the caller's allowance, not the
+    /// instance, so it is returned but never published, and a later caller with a
+    /// larger budget gets a fresh run.
+    fn compute_and_publish(
+        &self,
+        dtd: DtdId,
+        rep: QueryId,
+        artifacts: &DtdArtifacts,
+        budget: &Budget,
+    ) -> Arc<Decision> {
+        let query = &self.queries[rep.0];
+        let replayed = self.program_for(dtd, rep, artifacts).and_then(|program| {
+            let replayed = VM_SCRATCH.with(|cell| {
+                xpsat_plan::vm::decide(
+                    &program,
+                    &artifacts.compiled,
+                    &mut cell.borrow_mut(),
+                    budget,
+                )
+            });
+            // `None` is a SAT verdict whose witness failed to realise (never
+            // expected, but the AST oracle keeps the failure graceful and counted).
+            CacheStats::bump(if replayed.is_some() {
+                &self.stats.vm_decides
+            } else {
+                &self.stats.vm_witness_fallbacks
+            });
+            replayed
+        });
+        let decision = replayed.unwrap_or_else(|| {
+            self.solver
+                .decide_budgeted(&artifacts.compiled, &query.canon_path, budget)
+        });
+        CacheStats::bump(&self.stats.decisions_computed);
+        if decision.exhausted.is_some() {
+            CacheStats::bump(&self.stats.resource_exhausted);
+            return Arc::new(decision);
+        }
+        let stored = self.classes.publish((dtd, rep), Arc::new(decision));
+        // Partial verdicts reflect one engine's reach and stay in this workspace.
+        if let (Some(shared), true) = (&self.canonical, stored.complete) {
             shared.publish(
                 artifacts.fingerprint,
-                &self.queries[rep.0].canon_text,
-                Arc::clone(decision),
+                &query.canon_text,
+                Arc::clone(&stored),
             );
         }
+        stored
     }
 
-    /// The compiled decision program of a class representative: from the persistent
-    /// store when one is attached and holds a valid entry (zero compiles after a
-    /// restart), else compiled on first touch (and written back).  `None` = outside
-    /// the compiled fragment, decided by the AST solver; the bail reason is counted
-    /// per [`xpsat_plan::BailReason`].
+    /// Run [`Workspace::compute_and_publish`] over a batch's missed classes, storing
+    /// each decision in its slot, on up to `threads` workers; returns `true` when the
+    /// deadline cut the batch short.
+    fn compute_misses(
+        &self,
+        dtd: DtdId,
+        misses: &[(QueryId, &OnceLock<Arc<Decision>>)],
+        artifacts: &DtdArtifacts,
+        budget: &Budget,
+        threads: usize,
+    ) -> bool {
+        let next = AtomicUsize::new(0);
+        let expired = AtomicBool::new(false);
+        // Workers share nothing but the work-stealing cursor and the deadline flag.
+        let work = || {
+            while !expired.load(Ordering::Relaxed) {
+                if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                    expired.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let Some(&(rep, slot)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                let decision = self.compute_and_publish(dtd, rep, artifacts, budget);
+                // A deadline interruption mid-decision aborts the batch like the
+                // between-classes check does; a spent step allowance is a result.
+                if decision.exhausted == Some(Exhausted::Deadline) {
+                    expired.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let _ = slot.set(decision);
+            }
+        };
+        // Cap the pool at the hardware parallelism: the work is CPU-bound, so
+        // oversubscribed workers only add spawn and scheduling overhead (on a
+        // single-core host every requested width degenerates to one worker, which
+        // runs inline — no scope, no spawn, no join).
+        let hardware = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let workers = threads.max(1).min(misses.len()).min(hardware);
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    // Deep stacks: the positive engine's witness search recurses to
+                    // its Lemma 4.5 depth bound on schema-sized DTDs, and overflowing
+                    // a worker stack aborts the whole process rather than failing the
+                    // one decision.
+                    std::thread::Builder::new()
+                        .stack_size(xpsat_core::DECIDE_STACK_BYTES)
+                        .spawn_scoped(scope, work)
+                        .expect("spawn batch worker");
+                }
+            });
+        }
+        expired.into_inner()
+    }
+
+    /// The compiled decision program of a class representative: from the class
+    /// table, else from the persistent store when one is attached and holds a valid
+    /// entry (zero compiles after a restart), else compiled on first touch (and
+    /// written back).  `None` = outside the compiled fragment, decided by the AST
+    /// solver; the bail reason is counted per [`xpsat_plan::BailReason`].
     fn program_for(
         &self,
         dtd: DtdId,
         rep: QueryId,
         artifacts: &DtdArtifacts,
     ) -> Option<Arc<DecisionProgram>> {
-        let key = (dtd, rep);
-        let shard = &self.programs[ShardedCache::shard_index(&key)];
-        if let Some(entry) = lock_recovering(shard).get(&key) {
-            return entry.clone();
+        if let Some(program) = self.classes.program(&(dtd, rep)) {
+            return program;
         }
         // Store lookup and compile both run outside the lock: concurrent first
         // touches race benignly (the compiler is deterministic, and the first
-        // insert wins below).
+        // settled program wins).
         let query = &self.queries[rep.0];
         let mut program: Option<Arc<DecisionProgram>> = None;
         let mut from_store = false;
@@ -780,318 +954,7 @@ impl Workspace {
                 }
             }
         }
-        lock_recovering(shard).entry(key).or_insert(program).clone()
-    }
-
-    /// Decide one class representative: replay its compiled program in the VM when
-    /// the instance is inside the compiled fragment, else run the AST solver on the
-    /// canonical path (so engine dispatch, like the caches, sees one spelling per
-    /// class).
-    fn compute(
-        &self,
-        dtd: DtdId,
-        rep: QueryId,
-        artifacts: &DtdArtifacts,
-        budget: &Budget,
-    ) -> Decision {
-        if let Some(program) = self.program_for(dtd, rep, artifacts) {
-            let replayed = VM_SCRATCH.with(|cell| {
-                xpsat_plan::vm::decide(
-                    &program,
-                    &artifacts.compiled,
-                    &mut cell.borrow_mut(),
-                    budget,
-                )
-            });
-            match replayed {
-                Some(decision) => {
-                    CacheStats::bump(&self.stats.vm_decides);
-                    return decision;
-                }
-                // A SAT verdict whose witness failed to realise (never expected, but
-                // the AST oracle keeps the failure graceful and counted).
-                None => CacheStats::bump(&self.stats.vm_witness_fallbacks),
-            }
-        }
-        self.solver
-            .decide_budgeted(&artifacts.compiled, &self.queries[rep.0].canon_path, budget)
-    }
-
-    /// Decide many queries against one registered DTD, fanning the *uncached, distinct*
-    /// instances out across `threads` worker threads.  `results[i]` always corresponds
-    /// to `queries[i]`, and every decision is byte-identical to what a sequential
-    /// [`Solver::decide`] loop would produce (the solver is deterministic and engine
-    /// dispatch depends only on the instance).
-    pub fn decide_batch(
-        &self,
-        dtd: DtdId,
-        queries: &[QueryId],
-        threads: usize,
-    ) -> Result<Vec<ServedDecision>, ServiceError> {
-        self.decide_batch_with(dtd, queries, threads, None, &mut BatchScratch::default())
-    }
-
-    /// [`Workspace::decide_batch`] with an optional deadline and caller-owned scratch
-    /// buffers.
-    ///
-    /// * `deadline` — workers check it between queries and abandon the batch once it
-    ///   passes.  Decisions computed before expiry are still published to the cache
-    ///   (a retry resumes rather than restarts), the `deadline_exceeded` counter is
-    ///   bumped and [`ServiceError::DeadlineExceeded`] is returned.
-    /// * `scratch` — per-worker result arenas reused across batches; a long-lived
-    ///   caller passes the same scratch every time so steady-state batches stop
-    ///   re-allocating worker buffers and lookup bookkeeping.
-    pub fn decide_batch_with(
-        &self,
-        dtd: DtdId,
-        queries: &[QueryId],
-        threads: usize,
-        deadline: Option<Instant>,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<ServedDecision>, ServiceError> {
-        self.decide_batch_governed(dtd, queries, threads, deadline, None, scratch)
-    }
-
-    /// [`Workspace::decide_batch_with`] under per-decision resource governance.
-    ///
-    /// * `max_steps` — per-*decision* step fuel (falls back to the workspace's default
-    ///   budget when `None`).  A decision that spends its fuel comes back `Unknown`
-    ///   with [`Decision::exhausted`] set; it is returned in its slot but never
-    ///   published to the cache, and the batch keeps going.
-    /// * `deadline` — also threaded *into* the engines, so a single monster decision
-    ///   is interrupted mid-fixpoint instead of only between queries.  A
-    ///   deadline-interrupted decision is discarded (the batch reports
-    ///   [`ServiceError::DeadlineExceeded`], and a retry recomputes it).
-    pub fn decide_batch_governed(
-        &self,
-        dtd: DtdId,
-        queries: &[QueryId],
-        threads: usize,
-        deadline: Option<Instant>,
-        max_steps: Option<u64>,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<ServedDecision>, ServiceError> {
-        let budget = Budget {
-            max_steps: max_steps.or(self.default_budget.max_steps),
-            deadline: deadline.or(self.default_budget.deadline),
-        };
-        let artifacts = self.artifacts(dtd)?;
-        for &q in queries {
-            self.query(q)?;
-        }
-
-        // The distinct structural classes in the batch (every query is represented by
-        // its class representative, so `a[b and c]` and `a[c][b]` are one unit of
-        // work), grouped by cache stripe so the lookup phase takes each stripe lock
-        // exactly once.
-        scratch.distinct.clear();
-        scratch.distinct.extend(
-            queries
-                .iter()
-                .map(|&q| self.queries[q.0].rep)
-                .collect::<BTreeSet<_>>(),
-        );
-        scratch.by_shard.resize_with(CACHE_SHARDS, Vec::new);
-        for shard in &mut scratch.by_shard {
-            shard.clear();
-        }
-        for &q in &scratch.distinct {
-            scratch.by_shard[ShardedCache::shard_index(&(dtd, q))].push(q);
-        }
-
-        // The distinct query ids not yet in the cache: each is computed exactly once,
-        // no matter how often it repeats in `queries`.  Also collect the already-cached
-        // decisions while the stripe lock is held.
-        scratch.missing.clear();
-        scratch.resolved.clear();
-        for (shard, members) in self.cache.shards.iter().zip(&scratch.by_shard) {
-            if members.is_empty() {
-                continue;
-            }
-            let shard = lock_recovering(shard);
-            for &q in members {
-                match shard.get(&(dtd, q)) {
-                    Some(hit) => {
-                        scratch.resolved.insert(q, hit.clone());
-                    }
-                    None => scratch.missing.push(q),
-                }
-            }
-        }
-        scratch.missing.sort_unstable();
-        // Sweep the shared canonical cache before spawning workers: instances another
-        // workspace already decided are republished locally and dropped from the
-        // compute set.
-        if let Some(shared) = &self.canonical {
-            let (missing, resolved) = (&mut scratch.missing, &mut scratch.resolved);
-            missing.retain(|&rep| {
-                match shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text) {
-                    Some(hit) => {
-                        CacheStats::bump(&self.stats.canonical_hits);
-                        resolved.insert(rep, self.cache.insert_arc_if_absent((dtd, rep), hit));
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        let missing = &scratch.missing;
-
-        let mut expired = false;
-        if !missing.is_empty() {
-            // Cap the pool at the hardware parallelism: the work is CPU-bound, so
-            // oversubscribed workers only add spawn and scheduling overhead (on a
-            // single-core host every requested width degenerates to one worker).
-            let hardware = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let workers = threads.max(1).min(missing.len()).min(hardware);
-            if scratch.worker_buffers.len() < workers {
-                scratch.worker_buffers.resize_with(workers, Vec::new);
-            }
-            // Per-worker result buffers, merged at join: workers share nothing but the
-            // work-stealing cursor, the deadline flag and the program cache (touched
-            // once per structural class, then lock-free), so computing a decision
-            // stays contention-free in steady state.  A single-worker batch runs
-            // inline — no scope, no spawn, no join.  Buffers are taken from and
-            // returned to the scratch so their capacity persists across batches.
-            let mut taken: Vec<Vec<(QueryId, Decision)>> = scratch.worker_buffers[..workers]
-                .iter_mut()
-                .map(std::mem::take)
-                .collect();
-            let deadline_hit = AtomicBool::new(false);
-            if workers == 1 {
-                let buffer = &mut taken[0];
-                for &q in missing.iter() {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        deadline_hit.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let decision = self.compute(dtd, q, &artifacts, &budget);
-                    // A deadline interruption mid-decision aborts the batch like the
-                    // between-queries check does; a spent step allowance is a result.
-                    if decision.exhausted == Some(Exhausted::Deadline) {
-                        deadline_hit.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    buffer.push((q, decision));
-                }
-            } else {
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = taken
-                        .drain(..)
-                        .map(|mut local| {
-                            let next = &next;
-                            let deadline_hit = &deadline_hit;
-                            let artifacts = &artifacts;
-                            let budget = &budget;
-                            // Deep stacks: the positive engine's witness search
-                            // recurses to its Lemma 4.5 depth bound on schema-sized
-                            // DTDs, and overflowing a worker stack aborts the whole
-                            // process rather than failing the one decision.
-                            std::thread::Builder::new()
-                                .stack_size(xpsat_core::DECIDE_STACK_BYTES)
-                                .spawn_scoped(scope, move || {
-                                    loop {
-                                        if deadline_hit.load(Ordering::Relaxed) {
-                                            break;
-                                        }
-                                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                                            deadline_hit.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        let i = next.fetch_add(1, Ordering::Relaxed);
-                                        let Some(&q) = missing.get(i) else { break };
-                                        let decision = self.compute(dtd, q, artifacts, budget);
-                                        if decision.exhausted == Some(Exhausted::Deadline) {
-                                            deadline_hit.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                        local.push((q, decision));
-                                    }
-                                    local
-                                })
-                                .expect("spawn batch worker")
-                        })
-                        .collect();
-                    taken = handles
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker panicked"))
-                        .collect();
-                });
-            }
-            expired = deadline_hit.load(Ordering::Relaxed);
-
-            // Publish into the cache, one stripe lock per touched stripe; even an
-            // expired batch publishes what it managed to compute.
-            let mut inserts: Vec<Vec<(QueryId, Decision)>> = vec![Vec::new(); CACHE_SHARDS];
-            let mut computed = 0u64;
-            for buffer in &mut taken {
-                computed += buffer.len() as u64;
-                for (q, decision) in buffer.drain(..) {
-                    inserts[ShardedCache::shard_index(&(dtd, q))].push((q, decision));
-                }
-            }
-            CacheStats::add(&self.stats.decisions_computed, computed);
-            let mut publishable: Vec<(QueryId, Arc<Decision>)> = Vec::new();
-            for (shard, batch) in self.cache.shards.iter().zip(inserts) {
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut shard = lock_recovering(shard);
-                for (q, decision) in batch {
-                    // Budget-exhausted decisions are served but never cached: the
-                    // `Unknown` reflects this request's allowance, not the instance.
-                    if decision.exhausted.is_some() {
-                        CacheStats::bump(&self.stats.resource_exhausted);
-                        scratch.resolved.insert(q, Arc::new(decision));
-                        continue;
-                    }
-                    let stored = shard
-                        .entry((dtd, q))
-                        .or_insert_with(|| Arc::new(decision))
-                        .clone();
-                    publishable.push((q, Arc::clone(&stored)));
-                    scratch.resolved.insert(q, stored);
-                }
-            }
-            // Mirror fresh complete decisions into the shared canonical cache, after
-            // the stripe locks are released.
-            for (q, stored) in publishable {
-                self.publish_shared(&artifacts, q, &stored);
-            }
-            // Return the (drained) buffers to the scratch, capacity intact.
-            for (slot, buffer) in scratch.worker_buffers.iter_mut().zip(taken) {
-                *slot = buffer;
-            }
-        }
-
-        if expired {
-            CacheStats::bump(&self.stats.deadline_exceeded);
-            return Err(ServiceError::DeadlineExceeded);
-        }
-
-        // Assemble results in request order from the per-batch resolution map — no
-        // further cache locking.  Resolution is per structural class: every spelling
-        // of an instance serves the class decision.
-        let first_served: BTreeSet<QueryId> = scratch.missing.iter().copied().collect();
-        let mut out = Vec::with_capacity(queries.len());
-        let mut fresh_seen: BTreeSet<QueryId> = BTreeSet::new();
-        for &q in queries {
-            let rep = self.queries[q.0].rep;
-            // The first occurrence of a freshly computed class counts as a solver
-            // run; repeats within the batch and previously cached pairs are hits.
-            let cached = !(first_served.contains(&rep) && fresh_seen.insert(rep));
-            if cached {
-                CacheStats::bump(&self.stats.decision_cache_hits);
-            }
-            out.push(ServedDecision {
-                decision: scratch.resolved[&rep].clone(),
-                cached,
-            });
-        }
-        Ok(out)
+        self.classes.settle_program((dtd, rep), program)
     }
 
     /// The compiled decision program of a query against a registered DTD (compiling
@@ -1257,14 +1120,36 @@ mod tests {
             .collect();
         let expired = Instant::now() - std::time::Duration::from_millis(1);
         let err = ws
-            .decide_batch_with(d, &ids, 2, Some(expired), &mut BatchScratch::default())
+            .decide_batch(d, &ids, 2, Some(expired), None)
             .unwrap_err();
         assert_eq!(err, ServiceError::DeadlineExceeded);
         assert_eq!(ws.stats().deadline_exceeded, 1);
 
         // Without a deadline the same batch completes, reusing anything published.
-        let served = ws.decide_batch(d, &ids, 2).unwrap();
+        let served = ws.decide_batch(d, &ids, 2, None, None).unwrap();
         assert_eq!(served.len(), ids.len());
+    }
+
+    #[test]
+    fn expired_single_query_exceeds_its_deadline_and_publishes_nothing() {
+        let mut ws = Workspace::default();
+        let d = ws.register_dtd(DTD_A).unwrap();
+        let q = ws.intern("a[not(b)]").unwrap();
+        let expired = Instant::now() - std::time::Duration::from_millis(1);
+        let err = ws
+            .decide_batch(d, &[q], 1, Some(expired), None)
+            .unwrap_err();
+        assert_eq!(err, ServiceError::DeadlineExceeded);
+        let stats = ws.stats();
+        assert_eq!(stats.deadline_exceeded, 1);
+        assert_eq!(stats.decisions_computed, 0, "{stats}");
+        // Nothing was published: the next call computes the class afresh.
+        let fresh = ws.decide(d, q).unwrap();
+        assert!(!fresh.cached);
+        assert_eq!(ws.stats().decisions_computed, 1);
+        // A decided class is served even past its deadline: only misses check it.
+        let served = ws.decide_batch(d, &[q], 1, Some(expired), None).unwrap();
+        assert!(served[0].cached);
     }
 
     #[test]
@@ -1274,7 +1159,11 @@ mod tests {
             .register_dtd("r -> a*; a -> b | c; b -> #; c -> #;")
             .unwrap();
         let q = ws.intern("a[not(b)]").unwrap();
-        let capped = ws.decide_governed(d, q, &Budget::steps(1)).unwrap();
+        let capped = ws
+            .decide_batch(d, &[q], 1, None, Some(1))
+            .unwrap()
+            .pop()
+            .unwrap();
         assert!(capped.decision.exhausted.is_some());
         assert!(matches!(
             capped.decision.result,
@@ -1296,9 +1185,7 @@ mod tests {
             .register_dtd("r -> a*; a -> b | c; b -> #; c -> #;")
             .unwrap();
         let qs = [ws.intern("a[not(b)]").unwrap(), ws.intern("a/b").unwrap()];
-        let served = ws
-            .decide_batch_governed(d, &qs, 2, None, Some(1), &mut BatchScratch::default())
-            .unwrap();
+        let served = ws.decide_batch(d, &qs, 2, None, Some(1)).unwrap();
         assert!(served[0].decision.exhausted.is_some());
         let retry = ws.decide(d, qs[0]).unwrap();
         assert!(!retry.cached);
@@ -1364,33 +1251,5 @@ mod tests {
             ServiceError::QueryParse { span, .. } => assert_eq!(span, (3, 1)),
             other => panic!("expected QueryParse, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn scratch_buffers_are_reused_across_batches() {
-        let mut ws = Workspace::default();
-        let d = ws.register_dtd(DTD_A).unwrap();
-        let mut scratch = BatchScratch::default();
-        let warm: Vec<QueryId> = ["a", "a/b", "a[b]"]
-            .iter()
-            .map(|t| ws.intern(t).unwrap())
-            .collect();
-        ws.decide_batch_with(d, &warm, 2, None, &mut scratch)
-            .unwrap();
-        let capacities: Vec<usize> = scratch.worker_buffers.iter().map(Vec::capacity).collect();
-        assert!(capacities.iter().any(|&c| c > 0));
-        let cool: Vec<QueryId> = ["b", "b/.."]
-            .iter()
-            .map(|t| ws.intern(t).unwrap())
-            .collect();
-        ws.decide_batch_with(d, &cool, 2, None, &mut scratch)
-            .unwrap();
-        // Buffers kept their allocations (and are drained between uses).
-        assert!(scratch.worker_buffers.iter().all(|b| b.is_empty()));
-        assert!(scratch
-            .worker_buffers
-            .iter()
-            .zip(&capacities)
-            .all(|(b, &c)| b.capacity() >= c.min(b.capacity())));
     }
 }

@@ -174,7 +174,7 @@ fn workspace_level_batch_is_order_preserving_and_thread_invariant() {
         let mut ws = Workspace::default();
         let d = ws.register_dtd(&dtd.to_string()).unwrap();
         let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
-        let served = ws.decide_batch(d, &ids, threads).unwrap();
+        let served = ws.decide_batch(d, &ids, threads, None, None).unwrap();
         let fingerprints: Vec<String> = served
             .iter()
             .map(|one| decision_fingerprint(&one.decision))
@@ -211,7 +211,7 @@ fn sharded_cache_agrees_with_per_query_decides_across_entry_points() {
         for &q in ids.iter().take(ids.len() / 2) {
             mixed.decide(dm, q).unwrap();
         }
-        let batched = mixed.decide_batch(dm, &ids, 4).unwrap();
+        let batched = mixed.decide_batch(dm, &ids, 4, None, None).unwrap();
         for (one, want) in batched.iter().zip(&expected) {
             assert_eq!(&decision_fingerprint(&one.decision), want);
         }
