@@ -7,7 +7,7 @@
 //!   call.  This reproduces the pre-artifact-pipeline behaviour (classification, graph
 //!   reachability, pruning and Glushkov construction re-derived per query), so the
 //!   committed baseline keeps an honest "what recompute costs" column.
-//! * **warm** — `Solver::decide_with_artifacts` against artifacts built once, the
+//! * **warm** — `Solver::decide_budgeted` (unlimited) against artifacts built once, the
 //!   one-compile-many-queries flow the service uses.
 //!
 //! It also times:
@@ -245,12 +245,13 @@ fn run() {
     let batch_queries = batch_queries.max(100); // the acceptance bar: >= 100 queries
 
     let solver = Solver::default();
+    let unlimited = Budget::unlimited();
     let mut engine_sections = Vec::new();
     for corpus in corpus() {
         // Sanity: the warm path must dispatch every query to the corpus's engine.
         let artifacts = DtdArtifacts::build(&corpus.dtd);
         let dispatch_ok = corpus.queries.iter().all(|q| {
-            engine_slug(solver.decide_with_artifacts(&artifacts, q).engine) == corpus.slug
+            engine_slug(solver.decide_budgeted(&artifacts, q, &unlimited).engine) == corpus.slug
         });
         if !dispatch_ok {
             eprintln!(
@@ -265,7 +266,7 @@ fn run() {
         });
         let warm_ns = time_per_query(iters, corpus.queries.len(), || {
             for q in &corpus.queries {
-                std::hint::black_box(solver.decide_with_artifacts(&artifacts, q));
+                std::hint::black_box(solver.decide_budgeted(&artifacts, q, &unlimited));
             }
         });
         println!(
@@ -292,7 +293,8 @@ fn run() {
     let (neg_dtd, neg_qs) = negation_heavy_corpus();
     let neg_artifacts = DtdArtifacts::build(&neg_dtd);
     let neg_dispatch_ok = neg_qs.iter().all(|q| {
-        engine_slug(solver.decide_with_artifacts(&neg_artifacts, q).engine) == "negation-fixpoint"
+        engine_slug(solver.decide_budgeted(&neg_artifacts, q, &unlimited).engine)
+            == "negation-fixpoint"
     });
     if !neg_dispatch_ok {
         eprintln!("warning: negation-heavy corpus has queries dispatching elsewhere");
@@ -304,7 +306,7 @@ fn run() {
     });
     let neg_warm_ns = time_per_query(iters, neg_qs.len(), || {
         for q in &neg_qs {
-            std::hint::black_box(solver.decide_with_artifacts(&neg_artifacts, q));
+            std::hint::black_box(solver.decide_budgeted(&neg_artifacts, q, &unlimited));
         }
     });
     println!(
@@ -395,7 +397,6 @@ fn run() {
             std::hint::black_box(compile(&vm_artifacts, &canon_paths[*i], &limits));
         }
     });
-    let unlimited = Budget::unlimited();
     let mut scratch = Scratch::new();
     let vm_warm_ns = time_per_query(iters, programs.len().max(1), || {
         for (_, program) in &programs {
@@ -404,7 +405,7 @@ fn run() {
     });
     let ast_warm_ns = time_per_query(iters, programs.len().max(1), || {
         for (i, _) in &programs {
-            std::hint::black_box(solver.decide_with_artifacts(&vm_artifacts, &batch_qs[*i]));
+            std::hint::black_box(solver.decide_budgeted(&vm_artifacts, &batch_qs[*i], &unlimited));
         }
     });
     let batch_vm_coverage = programs.len() as f64 / batch_qs.len() as f64;

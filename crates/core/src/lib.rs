@@ -41,4 +41,4 @@ pub mod witness;
 
 pub use budget::{Budget, BudgetMeter, Exhausted};
 pub use sat::{SatError, Satisfiability};
-pub use solver::{Decision, EngineKind, RoutePrediction, Solver, SolverConfig, DECIDE_STACK_BYTES};
+pub use solver::{Decision, EngineKind, RoutePrediction, Solver, DECIDE_STACK_BYTES};

@@ -16,6 +16,10 @@
 //! 7. bounded instance enumeration otherwise (complete exactly for nonrecursive,
 //!    star-free DTDs — Proposition 6.4; a best-effort semi-decision elsewhere, which is
 //!    the honest thing to do in the undecidable corner of Theorem 5.4).
+//!
+//! That order is written once, as the private route table: [`Solver::decide_budgeted`]
+//! walks it, [`Solver::predict_route`] reports the first step whose gate holds, and
+//! the retry after recursion elimination walks its positive and negation steps.
 
 use crate::budget::{Budget, BudgetMeter, Exhausted};
 use crate::engines::enumeration::EnumerationLimits;
@@ -25,7 +29,7 @@ use crate::sat::{SatError, Satisfiability};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use xpsat_dtd::{Dtd, DtdArtifacts};
+use xpsat_dtd::{Dtd, DtdArtifacts, DtdClass};
 use xpsat_xpath::{Features, Path};
 
 /// Recommended stack size for threads that run [`Solver`] dispatch on untrusted
@@ -93,6 +97,15 @@ pub struct Decision {
 }
 
 impl Decision {
+    fn complete(result: Satisfiability, engine: EngineKind) -> Decision {
+        Decision {
+            result,
+            engine,
+            complete: true,
+            exhausted: None,
+        }
+    }
+
     fn exhausted(engine: EngineKind, cause: Exhausted) -> Decision {
         Decision {
             result: Satisfiability::Unknown,
@@ -106,14 +119,11 @@ impl Decision {
 /// A routing prediction computed from the query's [`Features`] and the DTD's
 /// [`xpsat_dtd::DtdProperties`] alone — before any engine runs.
 ///
-/// The compiled-VM fast path (the `xpsat-plan` compiler) lives one crate above
-/// this one, so callers that own both — the service workspace, the benchmark
-/// driver — use the prediction to route work: attempt compilation only when
-/// `vm_eligible`, and label instances by the engine the AST dispatch would
-/// otherwise reach.  Eligibility is *necessary, not sufficient*: the compiler can
-/// still bail for instance-specific reasons (demand collisions, program-size and
-/// work budgets).  Ineligibility is definitive — the compiler gates on exactly
-/// these feature × property conditions.
+/// The `classify` protocol op reports it per query.  Eligibility is *necessary,
+/// not sufficient*: the compiled-VM fast path (the `xpsat-plan` compiler, one
+/// crate above this one) can still bail for instance-specific reasons (demand
+/// collisions, program-size and work budgets).  Ineligibility is definitive — the
+/// compiler gates on exactly these feature × property conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutePrediction {
     /// May the compiled-VM fast path cover this instance?  Requires downward-only
@@ -122,8 +132,11 @@ pub struct RoutePrediction {
     /// negation is a DFA complement; arXiv 1308.0769).
     pub vm_eligible: bool,
     /// The engine the AST dispatch is expected to reach when the VM does not
-    /// serve the instance.  `DisjunctionFree` unsat short-cuts are predicted as
-    /// [`EngineKind::Positive`] (the prediction cannot know the verdict).
+    /// serve the instance: that of the first dispatch step whose gate holds.
+    /// `DisjunctionFree` unsat short-cuts are predicted as
+    /// [`EngineKind::Positive`] (the prediction cannot know the verdict).  A step
+    /// can still pass at run time (an engine rejecting the instance, or recursion
+    /// elimination whose retry is inconclusive), and dispatch then moves on.
     pub ast_engine: EngineKind,
 }
 
@@ -131,26 +144,14 @@ impl Solver {
     /// Predict routing for `(artifacts, query)` from features × DTD properties.
     pub fn predict_route(artifacts: &DtdArtifacts, query: &Path) -> RoutePrediction {
         let features = Features::of_path(query);
-        let props = artifacts.properties();
-        let duplicate_free = props.is_some_and(|p| p.duplicate_free);
+        let duplicate_free = artifacts.properties().is_some_and(|p| p.duplicate_free);
         let vm_eligible = !features.has_upward()
             && !features.data_value
             && (!features.negation || duplicate_free);
-        let ast_engine = if downward::supports_features(&features) {
-            EngineKind::Downward
-        } else if sibling::supports(query) {
-            EngineKind::Sibling
-        } else if positive::supports_features(&features) {
-            EngineKind::Positive
-        } else if negation::supports_features(&features) {
-            EngineKind::NegationFixpoint
-        } else if upward_rewrite_applies(&features)
-            || (features.has_recursion() && !artifacts.class().recursive)
-        {
-            EngineKind::Rewritten
-        } else {
-            EngineKind::Enumeration
-        };
+        let ast_engine = ROUTE_TABLE
+            .iter()
+            .find(|route| route.gate(&features, artifacts.class(), query))
+            .map_or(EngineKind::Enumeration, |route| route.predicted_engine());
         RoutePrediction {
             vm_eligible,
             ast_engine,
@@ -158,49 +159,158 @@ impl Solver {
     }
 }
 
-/// Theorem 6.8(2)'s gate: upward axes without negation, qualifiers, union,
-/// recursive or sibling axes, or data values rewrite to a downward query.
-fn upward_rewrite_applies(features: &Features) -> bool {
-    features.has_upward()
-        && !features.negation
-        && !features.qualifier
-        && !features.union
-        && !features.has_recursion()
-        && !features.has_sibling()
-        && !features.data_value
+/// One step of the AST dispatch: a fragment gate over the query's [`Features`] and
+/// the DTD's [`DtdClass`], and a run that answers or passes (`None`) to the next step.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Theorem 4.1 reachability for `X(↓, ↓*, ∪)`.
+    Downward,
+    /// Theorem 7.1 walk for `X(→, ←)`.
+    Sibling,
+    /// Theorem 6.8's PTIME tables under disjunction-free DTDs.  They answer only
+    /// UNSAT here: a witness still comes from the positive engine.
+    DisjunctionFreeUnsat,
+    /// Theorem 4.4 witness search for `X(↓, ↓*, ∪, [], =)`.
+    Positive,
+    /// Theorems 5.2/5.3 fixpoint for `X(↓, ↓*, ∪, [], ¬)`.
+    Negation,
+    /// Theorem 6.8(2): upward axes rewritten into a downward query.
+    UpwardRewrite,
+    /// Proposition 6.1 on nonrecursive DTDs, then one [`RETRY_TABLE`] walk; this
+    /// turns e.g. the EXPTIME fragment into the PSPACE one.
+    RecursionElimination,
 }
 
-/// The positive engine as a dispatch step: `None` when it rejects the instance, so
-/// dispatch moves on.
-fn positive_step(artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Option<Decision> {
+/// The AST dispatch order.  Bounded enumeration (Proposition 6.4) is the tail that
+/// answers when every step passes.
+const ROUTE_TABLE: [Route; 7] = [
+    Route::Downward,
+    Route::Sibling,
+    Route::DisjunctionFreeUnsat,
+    Route::Positive,
+    Route::Negation,
+    Route::UpwardRewrite,
+    Route::RecursionElimination,
+];
+
+/// The steps tried on a recursion-eliminated query before its enumeration tail
+/// (the retry never recurses further).
+const RETRY_TABLE: [Route; 2] = [Route::Positive, Route::Negation];
+
+impl Route {
+    /// Does this step's fragment cover the query under this DTD class?
+    fn gate(self, features: &Features, class: &DtdClass, query: &Path) -> bool {
+        match self {
+            Route::Downward => downward::supports_features(features),
+            Route::Sibling => sibling::supports(query),
+            Route::DisjunctionFreeUnsat => {
+                class.disjunction_free && djfree::supports_query_features(features)
+            }
+            Route::Positive => positive::supports_features(features),
+            Route::Negation => negation::supports_features(features),
+            Route::UpwardRewrite => {
+                features.has_upward()
+                    && !features.negation
+                    && !features.qualifier
+                    && !features.union
+                    && !features.has_recursion()
+                    && !features.has_sibling()
+                    && !features.data_value
+            }
+            Route::RecursionElimination => features.has_recursion() && !class.recursive,
+        }
+    }
+
+    /// The engine [`Solver::predict_route`] reports when this is the first open gate.
+    fn predicted_engine(self) -> EngineKind {
+        match self {
+            Route::Downward => EngineKind::Downward,
+            Route::Sibling => EngineKind::Sibling,
+            Route::DisjunctionFreeUnsat | Route::Positive => EngineKind::Positive,
+            Route::Negation => EngineKind::NegationFixpoint,
+            Route::UpwardRewrite | Route::RecursionElimination => EngineKind::Rewritten,
+        }
+    }
+
+    /// Run the step on a query its gate admitted.
+    fn run(
+        self,
+        solver: &Solver,
+        artifacts: &DtdArtifacts,
+        query: &Path,
+        meter: &BudgetMeter,
+    ) -> Option<Decision> {
+        match self {
+            Route::Downward => downward::decide_with(artifacts, query)
+                .ok()
+                .map(|result| Decision::complete(result, EngineKind::Downward)),
+            Route::Sibling => sibling::decide_with(artifacts, query)
+                .ok()
+                .map(|result| Decision::complete(result, EngineKind::Sibling)),
+            Route::DisjunctionFreeUnsat => {
+                matches!(djfree::decide_with(artifacts, query), Ok(false)).then(|| {
+                    Decision::complete(Satisfiability::Unsatisfiable, EngineKind::DisjunctionFree)
+                })
+            }
+            Route::Positive => positive_run(artifacts, query, meter, EngineKind::Positive),
+            Route::Negation => solver.negation_run(artifacts, query, meter),
+            Route::UpwardRewrite => match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
+                // The query climbs above the root.
+                None => Some(Decision::complete(
+                    Satisfiability::Unsatisfiable,
+                    EngineKind::Rewritten,
+                )),
+                Some(rewritten) => {
+                    positive_run(artifacts, &rewritten, meter, EngineKind::Rewritten)
+                }
+            },
+            Route::RecursionElimination => {
+                let depth_bound = artifacts.class().depth_bound;
+                let rewritten = crate::transform::eliminate_recursion_with(depth_bound, query)?;
+                let inner = solver.walk(&RETRY_TABLE, artifacts, &rewritten, meter);
+                if inner.exhausted.is_some() {
+                    return Some(inner);
+                }
+                inner.result.is_definite().then_some(Decision {
+                    engine: EngineKind::Rewritten,
+                    ..inner
+                })
+            }
+        }
+    }
+}
+
+/// The positive engine as a step labelled `engine`: `None` when it rejects the
+/// instance, so dispatch moves on.
+fn positive_run(
+    artifacts: &DtdArtifacts,
+    query: &Path,
+    meter: &BudgetMeter,
+    engine: EngineKind,
+) -> Option<Decision> {
     match positive::decide_with_budget(artifacts, query, meter) {
-        Err(cause) => Some(Decision::exhausted(EngineKind::Positive, cause)),
-        Ok(Ok(result)) => Some(Decision {
-            result,
-            engine: EngineKind::Positive,
-            complete: true,
-            exhausted: None,
-        }),
+        Err(cause) => Some(Decision::exhausted(engine, cause)),
+        Ok(Ok(result)) => Some(Decision::complete(result, engine)),
         Ok(Err(_)) => None,
     }
 }
 
-/// Configuration of the solver façade.
-#[derive(Debug, Clone, Default)]
-pub struct SolverConfig {
-    /// Budgets used by the enumeration fallback.
-    pub enumeration: EnumerationLimits,
-    /// Default step/deadline budget applied to every decision (unlimited by default;
-    /// callers can override per call with [`Solver::decide_budgeted`]).
-    pub budget: Budget,
-}
-
-/// Why an engine produced no verdict: outside its fragment, or out of budget.
-enum EngineFailure {
-    /// The engine rejected the instance; dispatch may try the next engine.
-    Rejected,
-    /// The budget ran dry mid-engine; dispatch must stop and report it.
-    Exhausted(Exhausted),
+/// Bounded instance enumeration (Proposition 6.4): the tail of every dispatch walk.
+fn enumerate(artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Decision {
+    let class = artifacts.class();
+    let limits = EnumerationLimits::default();
+    let result = match enumeration::decide_with_budget(artifacts, query, &limits, meter) {
+        Ok(result) => result,
+        Err(cause) => return Decision::exhausted(EngineKind::Enumeration, cause),
+    };
+    let exhaustive = enumeration::is_exhaustive_for_class(class, &limits)
+        || result.is_definite() && !class.recursive && !class.has_star;
+    Decision {
+        result,
+        engine: EngineKind::Enumeration,
+        complete: exhaustive,
+        exhausted: None,
+    }
 }
 
 /// Entries the negation-analysis memo holds before it is wholesale cleared; generous
@@ -213,7 +323,7 @@ const NEGATION_MEMO_CAP: usize = 4096;
 /// [`negation::prepare`] builds the suffix closure, head-normal forms and demand
 /// indices of a query — work that depends only on `(DTD, query)` and dominates repeated
 /// negation-heavy traffic that misses the service's decision cache (distinct
-/// workspaces, eviction, or direct [`Solver::decide_with_artifacts`] loops).  The memo
+/// workspaces, eviction, or direct [`Solver::decide_budgeted`] loops).  The memo
 /// replays the owned [`PreparedQuery`] instead.  Keying by [`DtdArtifacts::uid`] makes
 /// entries die with their compile: a re-registered or rematerialised DTD gets a fresh
 /// uid, so stale symbol resolutions can never be replayed against the wrong compile.
@@ -227,27 +337,17 @@ struct NegationMemo {
 /// The satisfiability solver façade.
 #[derive(Debug, Default)]
 pub struct Solver {
-    config: SolverConfig,
     negation_memo: NegationMemo,
 }
 
 impl Clone for Solver {
-    /// Clones share configuration but start with an empty analysis memo (the memo is a
-    /// cache, not semantics).
+    /// Clones start with an empty analysis memo (the memo is a cache, not semantics).
     fn clone(&self) -> Solver {
-        Solver::new(self.config.clone())
+        Solver::default()
     }
 }
 
 impl Solver {
-    /// A solver with explicit budgets.
-    pub fn new(config: SolverConfig) -> Solver {
-        Solver {
-            config,
-            negation_memo: NegationMemo::default(),
-        }
-    }
-
     /// `(hits, analyses built)` of the negation-analysis memo, for observability.
     pub fn negation_memo_stats(&self) -> (u64, u64) {
         (
@@ -256,17 +356,24 @@ impl Solver {
         )
     }
 
-    /// The negation engine, fronted by the per-`(artifact, query)` analysis memo.
-    fn decide_negation_cached(
+    /// The negation engine as a dispatch step, fronted by the per-`(artifact, query)`
+    /// analysis memo: `None` when it rejects the instance, so dispatch moves on.
+    fn negation_run(
         &self,
         artifacts: &DtdArtifacts,
         query: &Path,
         meter: &BudgetMeter,
-    ) -> Result<Satisfiability, EngineFailure> {
+    ) -> Option<Decision> {
+        let decided = |outcome: Result<Satisfiability, Exhausted>| {
+            Some(match outcome {
+                Ok(result) => Decision::complete(result, EngineKind::NegationFixpoint),
+                Err(cause) => Decision::exhausted(EngineKind::NegationFixpoint, cause),
+            })
+        };
         let Some(compiled) = artifacts.compiled() else {
             // No compile means no analysis to reuse; the plain path handles the
             // vacuous-DTD verdict (and fragment rejection) directly.
-            return negation::decide_with(artifacts, query).map_err(|_| EngineFailure::Rejected);
+            return decided(Ok(negation::decide_with(artifacts, query).ok()?));
         };
         let key = (artifacts.uid(), query.right_assoc().to_string());
         let cached = self
@@ -278,17 +385,16 @@ impl Solver {
             .cloned();
         if let Some(prepared) = cached {
             self.negation_memo.hits.fetch_add(1, Ordering::Relaxed);
-            return negation::decide_prepared_budgeted(compiled, &prepared, meter)
-                .map_err(EngineFailure::Exhausted);
+            return decided(negation::decide_prepared_budgeted(
+                compiled, &prepared, meter,
+            ));
         }
         let prepared = match negation::prepare(compiled, query) {
             Ok(prepared) => Arc::new(prepared),
-            Err(SatError::BudgetExceeded { .. }) => {
-                // The closure itself blew the analysis cap: the instance is
-                // budget-shaped, not fragment-shaped.
-                return Err(EngineFailure::Exhausted(Exhausted::Steps));
-            }
-            Err(_) => return Err(EngineFailure::Rejected),
+            // The closure itself blew the analysis cap: the instance is
+            // budget-shaped, not fragment-shaped.
+            Err(SatError::BudgetExceeded { .. }) => return decided(Err(Exhausted::Steps)),
+            Err(_) => return None,
         };
         self.negation_memo.built.fetch_add(1, Ordering::Relaxed);
         {
@@ -302,200 +408,50 @@ impl Solver {
             }
             memo.insert(key, Arc::clone(&prepared));
         }
-        negation::decide_prepared_budgeted(compiled, &prepared, meter)
-            .map_err(EngineFailure::Exhausted)
+        decided(negation::decide_prepared_budgeted(
+            compiled, &prepared, meter,
+        ))
     }
 
     /// Decide whether some document conforms to `dtd` and satisfies `query`.
     ///
     /// Compiles the per-DTD artifacts for this one call.  Batch callers (the service
     /// workspace, benchmark loops) should build [`DtdArtifacts`] once per DTD and use
-    /// [`Solver::decide_with_artifacts`] so preprocessing is amortised across queries.
+    /// [`Solver::decide_budgeted`] so preprocessing is amortised across queries.
     pub fn decide(&self, dtd: &Dtd, query: &Path) -> Decision {
-        self.decide_with_artifacts(&DtdArtifacts::build(dtd), query)
+        self.decide_budgeted(&DtdArtifacts::build(dtd), query, &Budget::unlimited())
     }
 
-    /// Decide against precompiled artifacts: no engine re-derives classification,
-    /// graph reachability, pruning or Glushkov automata inside this call.
-    ///
-    /// Runs under the configured default [`Budget`] (unlimited unless set); use
-    /// [`Solver::decide_budgeted`] for a per-call budget.
-    pub fn decide_with_artifacts(&self, artifacts: &DtdArtifacts, query: &Path) -> Decision {
-        self.decide_budgeted(artifacts, query, &self.config.budget)
-    }
-
-    /// Decide against precompiled artifacts under an explicit per-call budget.  When
-    /// the budget runs dry inside the enumeration or negation-fixpoint engines the
-    /// decision comes back `Unknown` with [`Decision::exhausted`] set; definite
-    /// verdicts reached within budget are unaffected.
+    /// Decide against precompiled artifacts under a per-call budget: no engine
+    /// re-derives classification, graph reachability, pruning or Glushkov automata
+    /// inside this call.  When the budget runs dry inside an engine the decision
+    /// comes back `Unknown` with the `exhausted` cause set; definite verdicts
+    /// reached within budget are unaffected.
     pub fn decide_budgeted(
         &self,
         artifacts: &DtdArtifacts,
         query: &Path,
         budget: &Budget,
     ) -> Decision {
-        let meter = budget.meter();
-        // One feature scan serves every fragment test below (the engines' own
-        // `supports(query)` wrappers would each rescan the path).
-        let features = Features::of_path(query);
-        let class = artifacts.class();
-
-        if downward::supports_features(&features) {
-            if let Ok(result) = downward::decide_with(artifacts, query) {
-                return Decision {
-                    result,
-                    engine: EngineKind::Downward,
-                    complete: true,
-                    exhausted: None,
-                };
-            }
-        }
-        if sibling::supports(query) {
-            if let Ok(result) = sibling::decide_with(artifacts, query) {
-                return Decision {
-                    result,
-                    engine: EngineKind::Sibling,
-                    complete: true,
-                    exhausted: None,
-                };
-            }
-        }
-        if positive::supports_features(&features) {
-            // Prefer the PTIME decision under disjunction-free DTDs; the witness (when
-            // needed) still comes from the positive engine, which is complete here too.
-            if !features.data_value
-                && class.disjunction_free
-                && djfree::supports_query_features(&features)
-            {
-                if let Ok(false) = djfree::decide_with(artifacts, query) {
-                    return Decision {
-                        result: Satisfiability::Unsatisfiable,
-                        engine: EngineKind::DisjunctionFree,
-                        complete: true,
-                        exhausted: None,
-                    };
-                }
-            }
-            if let Some(decision) = positive_step(artifacts, query, &meter) {
-                return decision;
-            }
-        }
-        if negation::supports_features(&features) {
-            if let Some(decision) = self.negation_step(artifacts, query, &meter) {
-                return decision;
-            }
-        }
-        // Upward axes without qualifiers/union/recursion: Theorem 6.8(2)'s rewriting
-        // turns the query into a downward one (or proves it unsatisfiable at the root).
-        if upward_rewrite_applies(&features) {
-            return match xpsat_xpath::rewrite::updown_to_qualifiers(query) {
-                None => Decision {
-                    result: Satisfiability::Unsatisfiable,
-                    engine: EngineKind::Rewritten,
-                    complete: true,
-                    exhausted: None,
-                },
-                Some(rewritten) => {
-                    match positive::decide_with_budget(artifacts, &rewritten, &meter) {
-                        Err(cause) => Decision::exhausted(EngineKind::Rewritten, cause),
-                        Ok(Ok(result)) => Decision {
-                            result,
-                            engine: EngineKind::Rewritten,
-                            complete: true,
-                            exhausted: None,
-                        },
-                        Ok(Err(_)) => self.enumerate(artifacts, query, &meter),
-                    }
-                }
-            };
-        }
-        // Nonrecursive DTDs: eliminate the recursive axes (Proposition 6.1) and try the
-        // dispatch once more; this turns e.g. the EXPTIME fragment into the PSPACE one.
-        if features.has_recursion() && !class.recursive {
-            if let Some(rewritten) =
-                crate::transform::eliminate_recursion_with(class.depth_bound, query)
-            {
-                let inner = self.decide_no_recursion_retry(artifacts, &rewritten, &meter);
-                if inner.exhausted.is_some() {
-                    return inner;
-                }
-                if inner.result.is_definite() {
-                    return Decision {
-                        result: inner.result,
-                        engine: EngineKind::Rewritten,
-                        complete: inner.complete,
-                        exhausted: None,
-                    };
-                }
-            }
-        }
-        self.enumerate(artifacts, query, &meter)
+        self.walk(&ROUTE_TABLE, artifacts, query, &budget.meter())
     }
 
-    /// Second-round dispatch used after recursion elimination (never recurses
-    /// further): the positive and negation steps of [`Solver::decide_budgeted`],
-    /// without its disjunction-free shortcut or sibling step, then enumeration.
-    fn decide_no_recursion_retry(
+    /// The first answer of a step in `routes` whose gate holds, else enumeration.
+    /// One feature scan serves every gate (the engines' own `supports(query)`
+    /// wrappers would each rescan the path).
+    fn walk(
         &self,
+        routes: &[Route],
         artifacts: &DtdArtifacts,
         query: &Path,
         meter: &BudgetMeter,
     ) -> Decision {
         let features = Features::of_path(query);
-        if positive::supports_features(&features) {
-            if let Some(decision) = positive_step(artifacts, query, meter) {
-                return decision;
-            }
-        }
-        if negation::supports_features(&features) {
-            if let Some(decision) = self.negation_step(artifacts, query, meter) {
-                return decision;
-            }
-        }
-        self.enumerate(artifacts, query, meter)
-    }
-
-    /// The negation-fixpoint engine as a dispatch step: `None` when it rejects the
-    /// instance, so dispatch moves on.
-    fn negation_step(
-        &self,
-        artifacts: &DtdArtifacts,
-        query: &Path,
-        meter: &BudgetMeter,
-    ) -> Option<Decision> {
-        match self.decide_negation_cached(artifacts, query, meter) {
-            Ok(result) => Some(Decision {
-                result,
-                engine: EngineKind::NegationFixpoint,
-                complete: true,
-                exhausted: None,
-            }),
-            Err(EngineFailure::Exhausted(cause)) => {
-                Some(Decision::exhausted(EngineKind::NegationFixpoint, cause))
-            }
-            Err(EngineFailure::Rejected) => None,
-        }
-    }
-
-    fn enumerate(&self, artifacts: &DtdArtifacts, query: &Path, meter: &BudgetMeter) -> Decision {
-        let class = artifacts.class();
-        let result = match enumeration::decide_with_budget(
-            artifacts,
-            query,
-            &self.config.enumeration,
-            meter,
-        ) {
-            Ok(result) => result,
-            Err(cause) => return Decision::exhausted(EngineKind::Enumeration, cause),
-        };
-        let exhaustive = enumeration::is_exhaustive_for_class(class, &self.config.enumeration)
-            || result.is_definite() && !class.recursive && !class.has_star;
-        Decision {
-            result,
-            engine: EngineKind::Enumeration,
-            complete: exhaustive,
-            exhausted: None,
-        }
+        routes
+            .iter()
+            .filter(|route| route.gate(&features, artifacts.class(), query))
+            .find_map(|route| route.run(self, artifacts, query, meter))
+            .unwrap_or_else(|| enumerate(artifacts, query, meter))
     }
 
     /// Decide satisfiability in the absence of a DTD (Proposition 3.1 / Theorem 6.11).
@@ -644,16 +600,16 @@ mod tests {
         let artifacts = xpsat_dtd::DtdArtifacts::build(&dtd);
         let solver = solver();
         let query = parse_path("a[not(b)]").unwrap();
-        let first = solver.decide_with_artifacts(&artifacts, &query);
+        let first = solver.decide_budgeted(&artifacts, &query, &Budget::unlimited());
         assert_eq!(first.engine, EngineKind::NegationFixpoint);
         assert_eq!(solver.negation_memo_stats(), (0, 1));
-        let second = solver.decide_with_artifacts(&artifacts, &query);
+        let second = solver.decide_budgeted(&artifacts, &query, &Budget::unlimited());
         assert_eq!(second.engine, EngineKind::NegationFixpoint);
         assert_eq!(solver.negation_memo_stats(), (1, 1));
         assert!(matches!(second.result, Satisfiability::Satisfiable(_)));
         // A fresh compile of the same DTD has a different uid: no cross-compile reuse.
         let recompiled = xpsat_dtd::DtdArtifacts::build(&dtd);
-        let third = solver.decide_with_artifacts(&recompiled, &query);
+        let third = solver.decide_budgeted(&recompiled, &query, &Budget::unlimited());
         assert_eq!(third.engine, EngineKind::NegationFixpoint);
         assert_eq!(solver.negation_memo_stats(), (1, 2));
         // Clones start cold.
@@ -687,17 +643,6 @@ mod tests {
         assert_eq!(capped.engine, EngineKind::Enumeration);
         assert_eq!(capped.exhausted, Some(Exhausted::Steps));
         assert!(matches!(capped.result, Satisfiability::Unknown));
-    }
-
-    #[test]
-    fn config_budget_governs_decide() {
-        let dtd = parse_dtd("r -> a*; a -> b | c; b -> #; c -> #;").unwrap();
-        let solver = Solver::new(SolverConfig {
-            budget: Budget::steps(1),
-            ..SolverConfig::default()
-        });
-        let decision = solver.decide(&dtd, &parse_path("a[not(b)]").unwrap());
-        assert_eq!(decision.exhausted, Some(Exhausted::Steps));
     }
 
     #[test]

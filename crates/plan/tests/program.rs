@@ -1,7 +1,7 @@
 //! Targeted compile/VM tests: fragment boundaries, the joint-cover soundness cases,
 //! and verdict+witness agreement with the AST solver on hand-built instances.
 
-use xpsat_core::{Budget, Satisfiability, Solver, SolverConfig};
+use xpsat_core::{Budget, Satisfiability, Solver};
 use xpsat_dtd::{parse_dtd, DtdArtifacts};
 use xpsat_plan::{canonicalize, compile, compile_with_reason, vm, BailReason, CompileLimits};
 use xpsat_xpath::parse_path;
@@ -23,8 +23,7 @@ fn vm_decide(a: &DtdArtifacts, query: &str) -> xpsat_core::Decision {
 
 fn assert_agrees(a: &DtdArtifacts, query: &str) {
     let d = vm_decide(a, query);
-    let solver = Solver::new(SolverConfig::default());
-    let s = solver.decide_with_artifacts(a, &parse_path(query).unwrap());
+    let s = Solver::default().decide_budgeted(a, &parse_path(query).unwrap(), &Budget::unlimited());
     assert_eq!(
         d.result.is_satisfiable(),
         s.result.is_satisfiable(),

@@ -32,7 +32,7 @@
 //!   normalisation and automata construction, and `register_dtd` reports
 //!   `"cached":true`.
 //! * Deadlines — a server-wide default deadline (and per-request `"deadline_ms"`)
-//!   bounds tail latency; expired requests answer `"deadline_exceeded":true` while
+//!   bounds tail latency; expired requests answer a `deadline_exceeded` error while
 //!   still publishing partial progress to the decision cache.
 //!
 //! The `xpathsat` binary (in this crate) fronts both modes: `serve` runs the daemon,

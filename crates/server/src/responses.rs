@@ -2,25 +2,21 @@
 //!
 //! These are the answers the *admission and lifecycle* layer gives before (or
 //! instead of) a tenant's [`xpsat_service::ProtocolServer`] ever sees the request.
-//! Each carries the structured error object from the PR 5 taxonomy plus a legacy
-//! top-level flag so pre-taxonomy clients keep working.
+//! Each carries the structured error object of the protocol's error taxonomy;
+//! clients classify refusals by `error.kind`.
 
 use xpsat_service::{error_response, Json};
 
-/// The explicit backpressure response: `"overloaded":true` tells a well-behaved
-/// client to back off and retry, distinguishing load shedding from request errors.
-/// Kept as a top-level flag alongside the structured error object for older clients.
+/// The explicit backpressure response: the retryable `overloaded` kind tells a
+/// well-behaved client to back off and retry, distinguishing load shedding from
+/// request errors.
 pub fn overloaded_response(reason: &str) -> Json {
-    let mut response = error_response(
+    error_response(
         "overloaded",
         &format!("server overloaded: {reason}"),
         None,
         true,
-    );
-    if let Json::Obj(fields) = &mut response {
-        fields.push(("overloaded".to_string(), Json::Bool(true)));
-    }
-    response
+    )
 }
 
 /// An *admitted* request that was dropped by the shedder (queue-full eviction or
@@ -36,16 +32,12 @@ pub fn shed_response(reason: &str) -> Json {
 
 /// The drain-time answer: the server is going away; retry against a replacement.
 pub fn shutting_down_response(reason: &str) -> Json {
-    let mut response = error_response(
+    error_response(
         "shutting_down",
         &format!("server shutting down: {reason}"),
         None,
         true,
-    );
-    if let Json::Obj(fields) = &mut response {
-        fields.push(("shutting_down".to_string(), Json::Bool(true)));
-    }
-    response
+    )
 }
 
 /// The backstop answer when a request's worker was declared stuck by the watchdog
@@ -72,23 +64,19 @@ mod tests {
     }
 
     #[test]
-    fn refusals_carry_taxonomy_and_legacy_flags() {
+    fn refusals_carry_the_error_taxonomy() {
         let over = overloaded_response("test");
         assert_eq!(kind(&over), Some("overloaded"));
-        assert_eq!(over.get("overloaded").and_then(Json::as_bool), Some(true));
+        assert_eq!(over.get("overloaded"), None);
         assert_eq!(over.get("shed"), None);
 
         let shed = shed_response("test");
         assert_eq!(kind(&shed), Some("overloaded"));
-        assert_eq!(shed.get("overloaded").and_then(Json::as_bool), Some(true));
         assert_eq!(shed.get("shed").and_then(Json::as_bool), Some(true));
 
         let down = shutting_down_response("test");
         assert_eq!(kind(&down), Some("shutting_down"));
-        assert_eq!(
-            down.get("shutting_down").and_then(Json::as_bool),
-            Some(true)
-        );
+        assert_eq!(down.get("shutting_down"), None);
         let retryable = down
             .get("error")
             .and_then(|e| e.get("retryable"))

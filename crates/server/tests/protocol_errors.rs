@@ -99,7 +99,7 @@ fn error_paths_are_identical_over_stdio_and_tcp() {
     // Spot-check the semantics the script is meant to pin down.
     assert!(stdio[0].contains("malformed request"), "{}", stdio[0]);
     assert!(stdio[1].contains("unknown op 'teleport'"), "{}", stdio[1]);
-    assert!(stdio[2].contains(r#""oversized":true"#), "{}", stdio[2]);
+    assert!(stdio[2].contains(r#""kind":"oversized""#), "{}", stdio[2]);
     assert!(stdio[3].contains("unknown DTD id 9"), "{}", stdio[3]);
     assert!(
         stdio[4].contains("missing string field 'query'"),

@@ -192,7 +192,10 @@ fn expired_deadlines_answer_deadline_exceeded() {
         queries.join(",")
     ));
     assert_eq!(field(&expired, "ok").as_bool(), Some(false));
-    assert_eq!(field(&expired, "deadline_exceeded").as_bool(), Some(true));
+    assert_eq!(
+        field(field(&expired, "error"), "kind").as_str(),
+        Some("deadline_exceeded")
+    );
 
     // A zero deadline is not "already expired" — it is a malformed request,
     // refused before any work is admitted.
@@ -234,7 +237,6 @@ fn health_and_drain_bring_the_server_down_cleanly() {
     let error = field(&refused, "error");
     assert_eq!(field(error, "kind").as_str(), Some("shutting_down"));
     assert_eq!(field(error, "retryable").as_bool(), Some(true));
-    assert_eq!(field(&refused, "shutting_down").as_bool(), Some(true));
 
     // health keeps answering during the drain (it bypasses admission)...
     let health = client.round_trip(r#"{"op":"health"}"#);
@@ -299,7 +301,10 @@ fn inflight_gate_sheds_oversized_batches() {
     let shed = client
         .round_trip(r#"{"op":"batch","dtd_id":0,"queries":["a","a","a","a","a"],"threads":1}"#);
     assert_eq!(field(&shed, "ok").as_bool(), Some(false));
-    assert_eq!(field(&shed, "overloaded").as_bool(), Some(true));
+    assert_eq!(
+        field(field(&shed, "error"), "kind").as_str(),
+        Some("overloaded")
+    );
 
     // ...while a batch within the bound is served on the same connection.
     let fine = client.round_trip(r#"{"op":"batch","dtd_id":0,"queries":["a","a[b]"]}"#);

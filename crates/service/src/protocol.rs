@@ -631,17 +631,12 @@ pub fn error_response(
 
 /// The response for a request line exceeding the size cap.
 pub fn oversized_response(max_line_bytes: usize) -> Json {
-    let mut response = error_response(
+    error_response(
         "oversized",
         &format!("request line exceeds the {max_line_bytes}-byte limit"),
         None,
         false,
-    );
-    if let Json::Obj(fields) = &mut response {
-        // Legacy top-level marker, kept for older clients.
-        fields.push(("oversized".to_string(), Json::Bool(true)));
-    }
-    response
+    )
 }
 
 /// Send `response` as one line: encode it plus its newline into `encoded` (cleared
@@ -801,14 +796,7 @@ impl ProtocolError {
 
     /// Render as an `"ok":false` response object.
     pub fn into_response(self) -> Json {
-        let mut response = error_response(self.kind, &self.message, self.span, self.retryable);
-        if self.kind == "deadline_exceeded" {
-            if let Json::Obj(fields) = &mut response {
-                // Legacy top-level marker, kept for older clients.
-                fields.push(("deadline_exceeded".to_string(), Json::Bool(true)));
-            }
-        }
-        response
+        error_response(self.kind, &self.message, self.span, self.retryable)
     }
 }
 

@@ -6,7 +6,6 @@
 //! current-DTD cursor.
 
 use crate::workspace::{DtdId, ServedDecision, ServiceError, Workspace};
-use xpsat_core::SolverConfig;
 
 /// A stateful façade over one [`Workspace`].
 #[derive(Debug, Default)]
@@ -16,17 +15,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over a fresh workspace with default solver budgets.
+    /// A session over a fresh workspace.
     pub fn new() -> Session {
         Session::default()
-    }
-
-    /// A session with explicit solver budgets.
-    pub fn with_config(config: SolverConfig) -> Session {
-        Session {
-            workspace: Workspace::new(config),
-            current: None,
-        }
     }
 
     /// Register a DTD (or reuse its cached registration) and make it current.

@@ -868,10 +868,11 @@ mod tests {
         store.save(&fresh).unwrap();
         let loaded = store.load(&fresh.canonical).unwrap();
         let solver = xpsat_core::Solver::default();
+        let unlimited = xpsat_core::Budget::unlimited();
         for text in ["a/c", "a[not(c)]", "b", "a[c and not(d)]", "ghost"] {
             let query = xpsat_xpath::parse_path(text).unwrap();
-            let direct = solver.decide_with_artifacts(&fresh.compiled, &query);
-            let replayed = solver.decide_with_artifacts(&loaded.compiled, &query);
+            let direct = solver.decide_budgeted(&fresh.compiled, &query, &unlimited);
+            let replayed = solver.decide_budgeted(&loaded.compiled, &query, &unlimited);
             assert_eq!(
                 decision_fingerprint(&direct),
                 decision_fingerprint(&replayed),

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
-use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver, SolverConfig};
+use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver};
 use xpsat_dtd::{normalize, parse_dtd, Dtd, DtdClass, Normalization};
 use xpsat_plan::{CanonicalQuery, CompileLimits, DecisionProgram};
 use xpsat_xpath::{parse_path, Path};
@@ -88,13 +88,15 @@ struct ClassTable {
     stripes: Vec<Mutex<HashMap<ClassKey, ClassEntry>>>,
 }
 
-impl ClassTable {
-    fn new() -> ClassTable {
+impl Default for ClassTable {
+    fn default() -> ClassTable {
         ClassTable {
             stripes: (0..CLASS_STRIPES).map(|_| Mutex::default()).collect(),
         }
     }
+}
 
+impl ClassTable {
     /// The stripe of a key: a multiplicative hash over both ids, taken from the high
     /// bits (the ids themselves are small sequential integers, so masking low bits
     /// directly would stripe poorly for single-DTD batches).
@@ -177,17 +179,15 @@ pub struct DtdArtifacts {
     pub normalization: Normalization,
     /// The compiled solver artifacts: interned symbols, pruned DTD, dense DTD graph
     /// with reachability closure, and the Glushkov automaton of every content model.
-    /// Handed to [`xpsat_core::Solver::decide_with_artifacts`] on every decision so the
+    /// Handed to [`xpsat_core::Solver::decide_budgeted`] on every decision so the
     /// engines never recompute per-DTD structure.
     pub compiled: xpsat_dtd::DtdArtifacts,
 }
 
-/// An interned query: the parsed path, its canonical rendering, and its *structural*
-/// canonical form under the plan compiler's rewrites.
+/// An interned query: its canonical rendering and its *structural* canonical form
+/// under the plan compiler's rewrites.
 #[derive(Debug)]
 pub struct InternedQuery {
-    /// The parsed path.
-    pub path: Path,
     /// Canonical textual form (the dedup key; `Display` round-trips through the
     /// parser, so two queries intern to the same id iff they print identically).
     pub canonical: String,
@@ -311,13 +311,9 @@ struct DtdSlot {
 }
 
 /// The satisfiability service: DTD registry, query interner, decision cache.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Workspace {
     solver: Solver,
-    /// The budget applied when a decide call carries no budget of its own (a copy of
-    /// the solver config's budget, kept here because the config moves into the
-    /// solver).
-    default_budget: Budget,
     dtds: Vec<DtdSlot>,
     dtd_by_canonical: HashMap<String, DtdId>,
     queries: Vec<InternedQuery>,
@@ -337,34 +333,7 @@ pub struct Workspace {
     lru_clock: AtomicU64,
 }
 
-impl Default for Workspace {
-    fn default() -> Self {
-        Workspace::new(SolverConfig::default())
-    }
-}
-
 impl Workspace {
-    /// A workspace whose decisions use the given solver budgets.
-    pub fn new(config: SolverConfig) -> Workspace {
-        let default_budget = config.budget;
-        Workspace {
-            solver: Solver::new(config),
-            default_budget,
-            dtds: Vec::new(),
-            dtd_by_canonical: HashMap::new(),
-            queries: Vec::new(),
-            query_by_canonical: HashMap::new(),
-            query_by_canon_text: HashMap::new(),
-            classes: ClassTable::new(),
-            canonical: None,
-            stats: CacheStats::default(),
-            store: None,
-            resident_bound: None,
-            resident_count: AtomicUsize::new(0),
-            lru_clock: AtomicU64::new(0),
-        }
-    }
-
     /// Attach a persistent artifact store: registrations consult it before compiling
     /// and write fresh compiles back, and evicted artifacts rematerialise from it.
     pub fn with_store(mut self, store: ArtifactStore) -> Workspace {
@@ -605,7 +574,6 @@ impl Workspace {
             .entry(canon.text.clone())
             .or_insert(id);
         self.queries.push(InternedQuery {
-            path,
             canonical: canonical.clone(),
             canon_path: canon.path,
             canon_text: canon.text,
@@ -635,7 +603,7 @@ impl Workspace {
     // class from the class table or the shared canonical cache, and on a miss
     // `compute_and_publish` decides it and publishes the result.
 
-    /// Decide one `(dtd, query)` instance under the workspace's default budget,
+    /// Decide one `(dtd, query)` instance without a budget,
     /// serving from the class table when the query's structural class has been
     /// decided before.
     pub fn decide(&self, dtd: DtdId, query: QueryId) -> Result<ServedDecision, ServiceError> {
@@ -646,7 +614,7 @@ impl Workspace {
                 cached: true,
             },
             Lookup::Miss(artifacts) => ServedDecision {
-                decision: self.compute_and_publish(dtd, rep, &artifacts, &self.default_budget),
+                decision: self.compute_and_publish(dtd, rep, &artifacts, &Budget::unlimited()),
                 cached: false,
             },
         })
@@ -662,8 +630,7 @@ impl Workspace {
     /// inline; only the misses are computed, on up to `threads` workers.  A batch
     /// without misses spawns no thread.
     ///
-    /// * `max_steps` — per-*decision* step fuel (the workspace's default budget when
-    ///   `None`).  A decision that spends it comes back `Unknown` with
+    /// * `max_steps` — per-*decision* step fuel (unlimited when `None`).  A decision that spends it comes back `Unknown` with
     ///   [`Decision::exhausted`] set; it is returned in its slot but never published,
     ///   and the batch keeps going.
     /// * `deadline` — checked between classes and threaded into the engines, so a
@@ -703,8 +670,8 @@ impl Workspace {
         }
         if let Some(artifacts) = artifacts {
             let budget = Budget {
-                max_steps: max_steps.or(self.default_budget.max_steps),
-                deadline: deadline.or(self.default_budget.deadline),
+                max_steps,
+                deadline,
             };
             if self.compute_misses(dtd, &misses, &artifacts, &budget, threads) {
                 CacheStats::bump(&self.stats.deadline_exceeded);

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use xpsat_core::{
         containment::{boolean_containment, containment, Containment},
         sat::verify_witness,
-        Decision, EngineKind, Satisfiability, Solver, SolverConfig,
+        Decision, EngineKind, Satisfiability, Solver,
     };
     pub use xpsat_dtd::{classify, parse_dtd, validate, Dtd, TreeGenerator};
     pub use xpsat_service::{ServedDecision, Session, StatsSnapshot, Workspace};

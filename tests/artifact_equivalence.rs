@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use xpsat_automata::{Dfa, Nfa, Regex};
-use xpsat_core::Solver;
+use xpsat_core::{Budget, Solver};
 use xpsat_dtd::{parse_dtd, Dtd, DtdArtifacts, DtdGraph, Sym, SymbolTable};
 use xpsat_service::{decision_fingerprint, verdict_fingerprint, Workspace};
 use xpsat_xpath::parse_path;
@@ -324,7 +324,7 @@ fn solver_verdicts_identical_with_and_without_artifacts() {
         for query_text in queries {
             let query = parse_path(query_text).unwrap();
             let per_call = solver.decide(&dtd, &query);
-            let shared = solver.decide_with_artifacts(&artifacts, &query);
+            let shared = solver.decide_budgeted(&artifacts, &query, &Budget::unlimited());
             assert_eq!(
                 decision_fingerprint(&per_call),
                 decision_fingerprint(&shared),
@@ -346,8 +346,8 @@ fn lazy_and_eagerly_warmed_artifacts_yield_identical_fingerprints() {
         eager.warm();
         for query_text in &queries {
             let query = parse_path(query_text).unwrap();
-            let from_lazy = solver.decide_with_artifacts(&lazy, &query);
-            let from_eager = solver.decide_with_artifacts(&eager, &query);
+            let from_lazy = solver.decide_budgeted(&lazy, &query, &Budget::unlimited());
+            let from_eager = solver.decide_budgeted(&eager, &query, &Budget::unlimited());
             assert_eq!(
                 decision_fingerprint(&from_lazy),
                 decision_fingerprint(&from_eager),
@@ -359,8 +359,8 @@ fn lazy_and_eagerly_warmed_artifacts_yield_identical_fingerprints() {
         for query_text in &queries {
             let query = parse_path(query_text).unwrap();
             assert_eq!(
-                decision_fingerprint(&solver.decide_with_artifacts(&lazy, &query)),
-                decision_fingerprint(&solver.decide_with_artifacts(&eager, &query)),
+                decision_fingerprint(&solver.decide_budgeted(&lazy, &query, &Budget::unlimited())),
+                decision_fingerprint(&solver.decide_budgeted(&eager, &query, &Budget::unlimited())),
             );
         }
     }

@@ -7,8 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xpathsat::dtd::DtdArtifacts;
 use xpathsat::prelude::*;
 use xpathsat::sat::engines::enumeration::{self, EnumerationLimits};
+use xpathsat::sat::Budget;
 
 /// A small pool of star-free, nonrecursive DTDs over which the enumeration oracle is
 /// exhaustive, so that oracle disagreement is always a genuine bug.
@@ -149,6 +151,94 @@ fn sibling_engine_agrees_with_oracle() {
             verify_witness(doc, &dtd, &query).unwrap();
         }
     }
+}
+
+/// `Solver::predict_route` names the engine the AST dispatch reaches: both walk one
+/// route table, the prediction stopping at the first open gate.  The disjunction-free
+/// UNSAT shortcut is predicted as the positive engine (the prediction cannot know the
+/// verdict).  A step's run may still pass on an admitted instance, so this pins the
+/// agreement over a corpus that reaches every engine label rather than proving it.
+#[test]
+fn predicted_route_agrees_with_dispatch() {
+    // The positive engine's witness search recurses deeper than the default
+    // test-thread stack on the recursive DTD; run on a decide-sized stack.
+    std::thread::Builder::new()
+        .stack_size(xpathsat::sat::DECIDE_STACK_BYTES)
+        .spawn(compare_predictions_with_dispatch)
+        .expect("spawn comparison thread")
+        .join()
+        .expect("prediction/dispatch comparison panicked");
+}
+
+fn compare_predictions_with_dispatch() {
+    let mut dtds = oracle_dtds();
+    dtds.push(parse_dtd("r -> book*; book -> title, author; title -> #; author -> #;").unwrap());
+    dtds.push(parse_dtd("r -> a*; a -> (a | b)*, c?; b -> #; c -> #;").unwrap());
+    let fixed = [
+        "a/b",
+        "a/>",
+        "b/<",
+        "a[b]",
+        "book[price]",
+        "book[title and author]",
+        "a[not(b)]",
+        "**/b[not(c)]",
+        "a/..",
+        "a/b/..",
+        "a/../..",
+        "**/b/..",
+        "**[lab() = b]/..[not(lab() = r)]",
+        "**/c[not(d)]/..",
+        "a[@x = \"1\"]",
+        "a[not(@x = @y)]",
+        "**/a[@x = @y]",
+    ];
+    let solver = Solver::default();
+    let unlimited = Budget::unlimited();
+    let mut rng = StdRng::seed_from_u64(1555);
+    let mut reached = std::collections::BTreeSet::new();
+    for dtd in &dtds {
+        let artifacts = DtdArtifacts::build(dtd);
+        let labels: Vec<String> = dtd
+            .element_names()
+            .into_iter()
+            .filter(|l| l != "r")
+            .collect();
+        let mut queries: Vec<Path> = fixed.iter().map(|text| parse_path(text).unwrap()).collect();
+        for _ in 0..20 {
+            queries.push(random_positive_query(&mut rng, &labels, 3));
+            queries.push(random_negation_query(&mut rng, &labels, 2));
+        }
+        for query in queries {
+            let predicted = Solver::predict_route(&artifacts, &query).ast_engine;
+            let decision = solver.decide_budgeted(&artifacts, &query, &unlimited);
+            let dispatched = decision.engine;
+            let shortcut =
+                dispatched == EngineKind::DisjunctionFree && predicted == EngineKind::Positive;
+            // Recursion elimination passes when its retry is inconclusive (enumeration
+            // cannot refute under a starred DTD); dispatch then enumerates the original.
+            let inconclusive_retry = predicted == EngineKind::Rewritten
+                && dispatched == EngineKind::Enumeration
+                && matches!(decision.result, Satisfiability::Unknown);
+            assert!(
+                predicted == dispatched || shortcut || inconclusive_retry,
+                "query {query}: predicted {predicted}, dispatched {dispatched} under\n{dtd}"
+            );
+            reached.insert(format!("{dispatched:?}"));
+        }
+    }
+    assert_eq!(
+        reached.into_iter().collect::<Vec<_>>(),
+        [
+            "DisjunctionFree",
+            "Downward",
+            "Enumeration",
+            "NegationFixpoint",
+            "Positive",
+            "Rewritten",
+            "Sibling"
+        ]
+    );
 }
 
 /// Proposition 3.3 (normalisation) and Proposition 3.1 (no-DTD reduction), checked

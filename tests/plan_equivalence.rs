@@ -5,7 +5,7 @@
 //!
 //! * **VM ≡ AST solver**: for every query inside the compiled fragment,
 //!   `VM(compile(q, A))` agrees verdict-for-verdict with
-//!   `Solver::decide_with_artifacts(A, q)`, and every VM witness verifies against
+//!   `Solver::decide_budgeted(A, q, unlimited)`, and every VM witness verifies against
 //!   the DTD and the *original* (pre-canonicalisation) query;
 //! * **canonical-hash invariance**: random structure-preserving rewrites —
 //!   qualifier permutation and re-association, `p[q1][q2]` ↔ `p[q1 and q2]`,
