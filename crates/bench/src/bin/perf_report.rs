@@ -28,7 +28,7 @@
 //!   paid once per equivalence class and amortised by the program cache);
 //! * a **canonical-cache bucket** — the cross-tenant drill: one workspace decides the
 //!   corpus and publishes to a shared [`CanonicalCache`]; a second workspace (fresh
-//!   interner, fresh decision cache) then answers the same corpus entirely from
+//!   interner, nothing served yet) then answers the same corpus entirely from
 //!   shared canonical hits, against the solve-everything cost a lone tenant pays.
 //!
 //! The medians (nanoseconds per query) are written as JSON to `BENCH_xpsat.json` at the

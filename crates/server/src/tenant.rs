@@ -2,17 +2,18 @@
 //! [`xpsat_service::Workspace`] behind its own [`ProtocolServer`].
 //!
 //! Isolation is at the *workspace* level — DTD ids, the query interner and the
-//! decision cache are all per-tenant, so one client can never observe (or collide
-//! with) another's registrations.  Two things are deliberately *shared* because
-//! they are content-addressed and therefore leak nothing tenant-specific:
+//! table of classes served are all per-tenant, so one client can never observe (or
+//! collide with) another's registrations.  Two things are deliberately *shared*
+//! because they are content-addressed and therefore leak nothing tenant-specific:
 //!
 //! * the persistent [`ArtifactStore`], keyed by the hash of a DTD's canonical
 //!   text — a cross-tenant hit means "someone compiled this exact DTD before"
 //!   and saves the full compilation;
-//! * the in-memory [`CanonicalCache`] of decisions, keyed by
-//!   `(DTD fingerprint, canonical query text)` — a cross-tenant hit means
-//!   "someone already decided this exact instance" (up to qualifier reordering
-//!   and the other structural rewrites) and saves the solve entirely.
+//! * the in-memory [`CanonicalCache`], the decision store holding each class's
+//!   decision and compiled program, keyed by the exact canonical DTD text and the
+//!   canonical query — a cross-tenant hit means "someone already decided (or
+//!   compiled) this exact instance" (up to qualifier reordering and the other
+//!   structural rewrites) and saves the solve or the compile entirely.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -77,7 +78,7 @@ impl TenantMap {
         self.store.as_ref()
     }
 
-    /// The decision cache shared by every tenant's workspace.
+    /// The decision store shared by every tenant's workspace.
     pub fn canonical_cache(&self) -> &Arc<CanonicalCache> {
         &self.canonical
     }
@@ -198,6 +199,28 @@ mod tests {
         assert!(stats.contains(r#""canonical_hits":1"#), "{stats}");
         assert!(stats.contains(r#""decisions_computed":0"#), "{stats}");
         assert!(stats.contains(r#""programs_compiled":0"#), "{stats}");
+
+        // Compiled programs are shared too: classifying the class in either
+        // spelling compiles nothing more.
+        for (tenant, query) in [(&a, "a[b and c]"), (&b, "a[c][b]")] {
+            let line = format!(r#"{{"op":"classify","dtd_id":0,"query":"{query}"}}"#);
+            let classify = tenant.proto().handle_line(&line);
+            assert!(classify.contains(r#""compiled":true"#), "{classify}");
+        }
+        let compiled = |tenant: &Tenant| tenant.proto().workspace().stats().programs_compiled;
+        assert_eq!((compiled(&a), compiled(&b)), (1, 0));
+
+        // So are incomplete verdicts that did not exhaust a budget: the bounded
+        // enumeration's answer under a starred DTD is one function of the instance.
+        let line = r#"{"op":"check","dtd_id":0,"query":"a[not(@x = @y)]","witness":true}"#;
+        let first = a.proto().handle_line(line);
+        assert!(first.contains(r#""complete":false"#), "{first}");
+        assert!(first.contains(r#""cached":false"#), "{first}");
+        let second = b.proto().handle_line(line);
+        assert_eq!(
+            second,
+            first.replace(r#""cached":false"#, r#""cached":true"#)
+        );
     }
 
     #[test]

@@ -1,39 +1,78 @@
-//! The shared canonical decision cache: verdicts keyed by *structural content*, not
-//! by tenant-local ids.
+//! The decision store: each structural class's verdict and compiled program, held
+//! once and keyed by *content*, never by tenant-local ids.
 //!
-//! Per-workspace decision caches key on `(DtdId, QueryId)` — handles that are private
-//! to one workspace, so two tenants asking the structurally identical question each
-//! pay a full solve.  This cache keys on `(DTD fingerprint, canonical query text)`
-//! instead: the fingerprint is the FNV-1a-64 of the DTD's canonical text (the same
-//! content address the on-disk artifact store uses) and the query is the plan
-//! compiler's canonical form, which is invariant under qualifier reordering,
-//! associativity and the trivial rewrites.  Any spelling of the same instance, from
-//! any workspace sharing the cache, lands on the same entry.
+//! `SAT(X, DTD)` depends only on the DTD and the query, so an entry is keyed on
+//! `(DTD key, canonical query hash)`:
 //!
-//! Like the artifact store, sharing this cache across tenants leaks nothing beyond
-//! "someone already decided this exact instance" — the entry is a pure function of
-//! the (DTD, query) content.  Only *complete, unexhausted* decisions may be
-//! published: a budget-capped `Unknown` reflects one caller's allowance, never the
-//! instance, and must not poison other tenants.
+//! * the DTD key is handed out by the store to each distinct canonical DTD text and
+//!   looked up once, when a workspace registers the DTD.  Two DTDs share entries only
+//!   when their canonical texts are equal byte for byte; no hash of a DTD is trusted,
+//!   so a crafted DTD cannot reach another schema's verdicts;
+//! * the query half is the FNV-1a-64 of the plan compiler's canonical form, which is
+//!   invariant under qualifier reordering, associativity and the trivial rewrites.
+//!   Every entry keeps its canonical text and a probe must match it, so a query-hash
+//!   collision degrades to an unshared entry, never a wrong verdict.
 //!
-//! The canonical text is kept in the key (not just its hash) so a hash collision
-//! degrades to a miss-like separate entry, never a wrong verdict.
+//! An entry holds the class's decision (the first writer wins, so served output stays
+//! deterministic under races) and its compiled program, or the fact that the class is
+//! outside the compiled fragment; each is resolved once.  Every decision that did not
+//! exhaust its budget is stored, complete or not: every workspace decides under the
+//! same engine limits, so an unexhausted verdict depends only on the instance.  A
+//! budget-exhausted `Unknown` reflects one caller's allowance and is never stored.
+//!
+//! A program is stamped with the artifact build it was compiled against
+//! ([`xpsat_dtd::DtdArtifacts::uid`]), and the VM refuses any other build.  A
+//! workspace holding another build of the same DTD text — another tenant's, or its
+//! own after an evicted DTD was rebuilt — replays the stored program re-stamped.
+//!
+//! Every [`crate::Workspace`] owns a private store unless it is handed a shared one
+//! ([`crate::Workspace::with_canonical_cache`]); the server's tenants share one.  Like
+//! the artifact store, sharing leaks nothing beyond "someone already decided this
+//! exact instance": an entry is a pure function of the (DTD, query) content.
 
+use crate::workspace::lock_recovering;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use xpsat_core::Decision;
+use xpsat_plan::DecisionProgram;
 
-/// Number of lock stripes (a power of two); tenants contend only when their keys
+/// Number of lock stripes (a power of two); callers contend only when their keys
 /// hash to the same stripe.
 const STRIPES: usize = 16;
 
-/// One stripe: a plain map under a mutex (entries are small — an `Arc` bump per hit).
-type Stripe = Mutex<HashMap<(u64, String), Arc<Decision>>>;
+/// Store-wide handle of one distinct canonical DTD text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct DtdKey(usize);
 
-/// A decision cache shared across workspaces, keyed by
-/// `(DTD fingerprint, canonical query text)`.
+/// Everything known about one structural class against one DTD.
+#[derive(Debug)]
+pub(crate) struct StoreEntry {
+    /// The class's canonical query text; a probe must match it.
+    canon_text: String,
+    /// The decision, once one that did not exhaust its budget has been computed.
+    pub(crate) decision: OnceLock<Arc<Decision>>,
+    /// The compiled program once resolved; `None` records that the class is outside
+    /// the compiled fragment, so the bail is also paid once per class.
+    pub(crate) program: OnceLock<Option<Arc<DecisionProgram>>>,
+}
+
+impl StoreEntry {
+    fn new(canon_text: &str) -> StoreEntry {
+        StoreEntry {
+            canon_text: canon_text.to_string(),
+            decision: OnceLock::new(),
+            program: OnceLock::new(),
+        }
+    }
+}
+
+/// One stripe: entries by `(DTD key, canonical query hash)`.
+type Stripe = Mutex<HashMap<(DtdKey, u64), Arc<StoreEntry>>>;
+
+/// The content-keyed decision store; see the [module docs](self).
 #[derive(Debug)]
 pub struct CanonicalCache {
+    dtd_keys: Mutex<HashMap<String, DtdKey>>,
     stripes: Vec<Stripe>,
 }
 
@@ -44,58 +83,58 @@ impl Default for CanonicalCache {
 }
 
 impl CanonicalCache {
-    /// An empty cache.  Wrap it in an [`Arc`] and hand a clone to every workspace
+    /// An empty store.  Wrap it in an [`Arc`] and hand a clone to every workspace
     /// that should share it ([`crate::Workspace::with_canonical_cache`]).
     pub fn new() -> CanonicalCache {
         CanonicalCache {
+            dtd_keys: Mutex::default(),
             stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn stripe(&self, fingerprint: u64, canon_text: &str) -> &Stripe {
-        let h = fingerprint ^ crate::store::canonical_key(canon_text);
-        &self.stripes[((h >> 32) as usize) & (STRIPES - 1)]
+    /// The key of a canonical DTD text, handed out on first sight.
+    pub(crate) fn dtd_key(&self, canonical: &str) -> DtdKey {
+        let mut keys = lock_recovering(&self.dtd_keys);
+        if let Some(&key) = keys.get(canonical) {
+            return key;
+        }
+        let key = DtdKey(keys.len());
+        keys.insert(canonical.to_string(), key);
+        key
     }
 
-    /// The published decision of this instance, if any workspace has decided it.
-    pub fn get(&self, fingerprint: u64, canon_text: &str) -> Option<Arc<Decision>> {
-        lock_recovering(self.stripe(fingerprint, canon_text))
-            .get(&(fingerprint, canon_text.to_string()))
-            .cloned()
+    /// The entry of a class, created empty on first touch.  When another canonical
+    /// text already holds the slot (a query-hash collision), the caller gets a fresh
+    /// entry that only it holds.
+    pub(crate) fn entry(&self, dtd: DtdKey, hash: u64, canon_text: &str) -> Arc<StoreEntry> {
+        let mixed = hash ^ (dtd.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut stripe = lock_recovering(&self.stripes[((mixed >> 32) as usize) & (STRIPES - 1)]);
+        let entry = stripe
+            .entry((dtd, hash))
+            .or_insert_with(|| Arc::new(StoreEntry::new(canon_text)));
+        if entry.canon_text == canon_text {
+            Arc::clone(entry)
+        } else {
+            Arc::new(StoreEntry::new(canon_text))
+        }
     }
 
-    /// Publish a decision; the first writer wins so served output stays
-    /// deterministic under races.  Callers must only publish complete, unexhausted
-    /// decisions (the workspace enforces this).
-    pub fn publish(&self, fingerprint: u64, canon_text: &str, decision: Arc<Decision>) {
-        lock_recovering(self.stripe(fingerprint, canon_text))
-            .entry((fingerprint, canon_text.to_string()))
-            .or_insert(decision);
-    }
-
-    /// Number of cached instances (sums the stripes; approximate under concurrency).
+    /// Number of classes in the store (sums the stripes; approximate under
+    /// concurrency).
     pub fn len(&self) -> usize {
         self.stripes.iter().map(|s| lock_recovering(s).len()).sum()
     }
 
-    /// Is the cache empty?
+    /// Is the store empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// Recover from poison: stripes hold plain data whose every intermediate state is
-/// valid, so a panic elsewhere must not wedge the cache for every later request.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpsat_core::{Decision, EngineKind, Satisfiability};
+    use xpsat_core::{EngineKind, Satisfiability};
 
     fn unsat() -> Arc<Decision> {
         Arc::new(Decision {
@@ -109,14 +148,22 @@ mod tests {
     #[test]
     fn first_publish_wins_and_keys_are_exact() {
         let cache = CanonicalCache::new();
-        assert!(cache.get(7, "a[b and c]").is_none());
+        let dtd = cache.dtd_key("r -> a; a -> #;");
         let first = unsat();
-        cache.publish(7, "a[b and c]", Arc::clone(&first));
-        cache.publish(7, "a[b and c]", unsat());
-        assert!(Arc::ptr_eq(&cache.get(7, "a[b and c]").unwrap(), &first));
-        // Different DTD fingerprint or different canonical text: distinct entries.
-        assert!(cache.get(8, "a[b and c]").is_none());
-        assert!(cache.get(7, "a[c and b]").is_none());
+        cache
+            .entry(dtd, 7, "a[b and c]")
+            .decision
+            .get_or_init(|| Arc::clone(&first));
+        cache
+            .entry(dtd, 7, "a[b and c]")
+            .decision
+            .get_or_init(unsat);
+        let stored = cache.entry(dtd, 7, "a[b and c]");
+        assert!(Arc::ptr_eq(stored.decision.get().unwrap(), &first));
+        // A query-hash collision: the slot keeps its entry and the other text gets
+        // a private one.
+        assert!(cache.entry(dtd, 7, "a[c and b]").decision.get().is_none());
+        assert!(cache.entry(dtd, 7, "a[b and c]").decision.get().is_some());
         assert_eq!(cache.len(), 1);
     }
 }

@@ -10,8 +10,15 @@
 //! * [`Workspace`] — register a DTD once; classification ([`xpsat_dtd::classify()`]),
 //!   normalisation ([`xpsat_dtd::normalize()`]) and the Glushkov automata of every
 //!   content model are computed once and cached as [`DtdArtifacts`].  Queries are
-//!   interned by canonical text ([`QueryId`]), and decisions are memoised per
-//!   `(DtdId, QueryId)` with engine provenance ([`ServedDecision`]).
+//!   interned by canonical text ([`QueryId`]) and grouped into structural classes,
+//!   and each class is decided at most once, with engine provenance
+//!   ([`ServedDecision`]).
+//! * [`CanonicalCache`] — the decision store: each class's decision and compiled
+//!   program, held once and keyed by content (the exact canonical DTD text and the
+//!   canonical query), not by workspace-local ids.  A workspace owns a private
+//!   store or shares one with other workspaces, so tenants of one server serve each
+//!   other's decisions and programs — incomplete but unexhausted verdicts
+//!   included.
 //! * [`Workspace::decide_batch`] — fan a batch's uncached structural classes out
 //!   across worker threads (`std::thread::scope`, no extra dependencies) with
 //!   deterministic, input-ordered results identical to a sequential
@@ -21,8 +28,8 @@
 //!   `check`, `batch`, `classify`, `stats`) so the service can be driven as a real
 //!   workload endpoint; the `xpathsat` CLI binary fronts it from the shell.
 //! * [`StatsSnapshot`] — cache-effectiveness counters proving the amortisation: a
-//!   repeated batch does no re-classification and is served entirely from the
-//!   decision cache.
+//!   repeated batch does no re-classification and is served entirely from
+//!   decisions already made.
 //!
 //! # Quickstart
 //!

@@ -468,89 +468,20 @@ impl ProtocolServer {
                 .map(|(reason, count)| (reason.as_str().to_string(), Json::Num(count as f64)))
                 .collect(),
         );
-        Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("op", Json::Str("stats".into())),
-            ("dtds_registered", Json::Num(stats.dtds_registered as f64)),
-            ("dtds_reused", Json::Num(stats.dtds_reused as f64)),
-            ("resident_dtds", Json::Num(stats.resident_dtds as f64)),
-            ("dtd_evictions", Json::Num(stats.dtd_evictions as f64)),
-            (
-                "artifact_rebuilds",
-                Json::Num(stats.artifact_rebuilds as f64),
-            ),
-            ("classifications", Json::Num(stats.classifications as f64)),
-            ("normalizations", Json::Num(stats.normalizations as f64)),
-            ("automata_built", Json::Num(stats.automata_built as f64)),
-            ("queries_interned", Json::Num(stats.queries_interned as f64)),
-            ("queries_reused", Json::Num(stats.queries_reused as f64)),
-            (
-                "decisions_computed",
-                Json::Num(stats.decisions_computed as f64),
-            ),
-            (
-                "decision_cache_hits",
-                Json::Num(stats.decision_cache_hits as f64),
-            ),
-            (
-                "artifact_store_hits",
-                Json::Num(stats.artifact_store_hits as f64),
-            ),
-            (
-                "artifact_store_misses",
-                Json::Num(stats.artifact_store_misses as f64),
-            ),
-            (
-                "artifact_store_writes",
-                Json::Num(stats.artifact_store_writes as f64),
-            ),
-            (
-                "artifact_store_corrupt",
-                Json::Num(stats.artifact_store_corrupt as f64),
-            ),
-            (
-                "deadline_exceeded",
-                Json::Num(stats.deadline_exceeded as f64),
-            ),
-            (
-                "resource_exhausted",
-                Json::Num(stats.resource_exhausted as f64),
-            ),
-            ("canonical_hits", Json::Num(stats.canonical_hits as f64)),
-            (
-                "programs_compiled",
-                Json::Num(stats.programs_compiled as f64),
-            ),
-            (
-                "program_fallbacks",
-                Json::Num(stats.program_fallbacks as f64),
-            ),
-            ("vm_decides", Json::Num(stats.vm_decides as f64)),
-            (
-                "vm_witness_fallbacks",
-                Json::Num(stats.vm_witness_fallbacks as f64),
-            ),
-            ("vm_coverage", Json::Num(stats.vm_coverage())),
-            (
-                "program_store_hits",
-                Json::Num(stats.program_store_hits as f64),
-            ),
-            (
-                "program_store_misses",
-                Json::Num(stats.program_store_misses as f64),
-            ),
-            (
-                "program_store_writes",
-                Json::Num(stats.program_store_writes as f64),
-            ),
-            (
-                "program_store_corrupt",
-                Json::Num(stats.program_store_corrupt as f64),
-            ),
+        let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("stats".into()))];
+        for (name, count) in stats.counters() {
+            fields.push((name, Json::Num(count as f64)));
+            // The VM's coverage ratio follows the counters it is derived from.
+            if name == "vm_witness_fallbacks" {
+                fields.push(("vm_coverage", Json::Num(stats.vm_coverage())));
+            }
+        }
+        fields.extend([
             ("compile_bailouts_by_reason", bailouts),
             ("negation_memo_hits", Json::Num(memo_hits as f64)),
             ("negation_memo_built", Json::Num(memo_built as f64)),
-        ])
+        ]);
+        Json::obj(fields)
     }
 
     fn effective_threads(&self) -> usize {
@@ -917,6 +848,22 @@ mod tests {
         assert!(stats.get("vm_coverage").is_some());
         assert!(stats.get("compile_bailouts_by_reason").is_some());
         assert!(field(&stats, "program_store_hits").as_u64().is_some());
+        // The full key list, in wire order.
+        let Json::Obj(members) = &stats else {
+            panic!("stats is an object: {stats}");
+        };
+        let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys.join(" "),
+            "ok op dtds_registered dtds_reused resident_dtds dtd_evictions artifact_rebuilds \
+             classifications normalizations automata_built queries_interned queries_reused \
+             decisions_computed decision_cache_hits artifact_store_hits artifact_store_misses \
+             artifact_store_writes artifact_store_corrupt deadline_exceeded resource_exhausted \
+             canonical_hits programs_compiled program_fallbacks vm_decides vm_witness_fallbacks \
+             vm_coverage program_store_hits program_store_misses program_store_writes \
+             program_store_corrupt compile_bailouts_by_reason negation_memo_hits \
+             negation_memo_built"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The [`Workspace`]: registered DTDs with precomputed artifacts, interned queries and
-//! a memoised decision cache.
+//! the classes served so far.
 //!
 //! The paper's complexity landscape makes per-DTD work (classification, normalisation,
 //! content-model automata) the expensive, *reusable* part of `SAT(X, DTD)`, while
@@ -8,30 +8,34 @@
 //! computed once and cached, and every subsequent decision against it reuses them.
 //! Queries are interned by canonical text so repeated paths share one [`QueryId`],
 //! grouped further into *structural equivalence classes* by the plan compiler's
-//! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class
-//! through a memoised `(DtdId, representative)` class table.  Classes inside the
-//! compiled fragment are lowered once to a flat [`DecisionProgram`] and every
-//! decision replays it in the allocation-free plan VM; the AST [`Solver`] remains
-//! the oracle for everything else.  Workspaces can additionally share a
-//! [`CanonicalCache`] keyed by `(DTD fingerprint, canonical query)`, so structurally
-//! identical instances are answered across workspace (tenant) boundaries.
+//! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class.
+//!
+//! Decisions and compiled programs live in one place, the content-keyed decision
+//! store ([`CanonicalCache`]), which matches DTDs by their exact canonical text.  A
+//! workspace owns a private store; [`Workspace::with_canonical_cache`] swaps in one
+//! shared with other workspaces (the server's tenants), so a class one of them has
+//! decided or compiled is served to all of them — incomplete but unexhausted verdicts
+//! included.  Classes inside the compiled fragment are lowered once to a flat
+//! [`DecisionProgram`] and replayed in the allocation-free plan VM; the AST [`Solver`]
+//! remains the oracle for everything else.
 //!
 //! Registered artifacts are held as [`Arc<DtdArtifacts>`] behind per-slot residency:
 //! with a [`Workspace::with_resident_bound`] in force, the least-recently-used compiled
 //! artifacts are dropped from memory once the bound is exceeded and transparently
 //! *rematerialised* on next touch — from the optional persistent [`ArtifactStore`]
 //! when one is attached ([`Workspace::with_store`]), else by recompiling from the
-//! canonical text.  Ids, interned queries and cached decisions all survive eviction.
+//! canonical text.  Ids, interned queries and decisions all survive eviction, and a
+//! stored program replays against the rebuilt artifacts.
 //!
 //! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
-//! look the class up in the lock-striped class table (decision and compiled program
-//! per `(DtdId, representative)`), then in the shared canonical cache; on a miss,
+//! look the class up among those this workspace has already been served (a
+//! `decision_cache_hits` hit), then in the store (a `canonical_hits` hit); on a miss,
 //! compute it and publish the result.  Both take `&self`, so one workspace can be
 //! shared across batch workers and concurrent requests.  Decisions are stored and
 //! served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
 //! witness-document clone.
 
-use crate::canonical::CanonicalCache;
+use crate::canonical::{CanonicalCache, DtdKey, StoreEntry};
 use crate::stats::{CacheStats, StatsSnapshot};
 use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
@@ -50,18 +54,12 @@ thread_local! {
     static VM_SCRATCH: RefCell<xpsat_plan::Scratch> = RefCell::new(xpsat_plan::Scratch::new());
 }
 
-/// Number of lock stripes in the class table (a power of two).
-///
-/// Worker threads of [`Workspace::decide_batch`] and concurrent [`Workspace::decide`]
-/// callers contend only when their `(DtdId, QueryId)` keys hash to the same stripe, so
-/// the effective contention drops by roughly this factor compared to one global mutex.
-const CLASS_STRIPES: usize = 16;
-
-/// Lock a mutex, recovering from poison.  Everything guarded this way (class-table
-/// stripes, residency slots) holds plain data whose every intermediate state is
-/// valid, so a panic while the lock was held — e.g. a panicking engine isolated by
-/// the server's `catch_unwind` — must not wedge the structure for every later request.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a mutex, recovering from poison.  Everything guarded this way (the served
+/// table, the decision store's stripes, residency slots) holds plain data whose every
+/// intermediate state is valid, so a panic while the lock was held — e.g. a
+/// panicking engine isolated by the server's `catch_unwind` — must not wedge the
+/// structure for every later request.
+pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -69,76 +67,6 @@ fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A structural class against one DTD: the DTD and the class representative.
 type ClassKey = (DtdId, QueryId);
-
-/// What the workspace knows about one structural class against one DTD.
-#[derive(Debug, Default)]
-struct ClassEntry {
-    /// The published decision (never an exhausted one).
-    decision: Option<Arc<Decision>>,
-    /// The compiled program once resolved; `Some(None)` records that the class is
-    /// outside the compiled fragment, so the bail is also paid once per class.
-    program: Option<Option<Arc<DecisionProgram>>>,
-}
-
-/// The lock-striped class table: one [`ClassEntry`] per [`ClassKey`].
-/// Racing writers of one entry keep the first value, so served output stays
-/// deterministic.
-#[derive(Debug)]
-struct ClassTable {
-    stripes: Vec<Mutex<HashMap<ClassKey, ClassEntry>>>,
-}
-
-impl Default for ClassTable {
-    fn default() -> ClassTable {
-        ClassTable {
-            stripes: (0..CLASS_STRIPES).map(|_| Mutex::default()).collect(),
-        }
-    }
-}
-
-impl ClassTable {
-    /// The stripe of a key: a multiplicative hash over both ids, taken from the high
-    /// bits (the ids themselves are small sequential integers, so masking low bits
-    /// directly would stripe poorly for single-DTD batches).
-    fn stripe(&self, key: &ClassKey) -> MutexGuard<'_, HashMap<ClassKey, ClassEntry>> {
-        let h = (key.0 .0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((key.1 .0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        lock_recovering(&self.stripes[((h >> 32) as usize) & (CLASS_STRIPES - 1)])
-    }
-
-    fn decision(&self, key: &ClassKey) -> Option<Arc<Decision>> {
-        self.stripe(key).get(key)?.decision.clone()
-    }
-
-    /// Publish a decision unless one is already there; returns the stored decision.
-    fn publish(&self, key: ClassKey, decision: Arc<Decision>) -> Arc<Decision> {
-        self.stripe(&key)
-            .entry(key)
-            .or_default()
-            .decision
-            .get_or_insert(decision)
-            .clone()
-    }
-
-    fn program(&self, key: &ClassKey) -> Option<Option<Arc<DecisionProgram>>> {
-        self.stripe(key).get(key)?.program.clone()
-    }
-
-    /// Record a resolved program unless one is already there; returns the stored one.
-    fn settle_program(
-        &self,
-        key: ClassKey,
-        program: Option<Arc<DecisionProgram>>,
-    ) -> Option<Arc<DecisionProgram>> {
-        self.stripe(&key)
-            .entry(key)
-            .or_default()
-            .program
-            .get_or_insert(program)
-            .clone()
-    }
-}
 
 /// Handle of a registered DTD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -169,9 +97,8 @@ pub struct DtdArtifacts {
     pub dtd: Dtd,
     /// Canonical textual form (the dedup key; round-trips through the parser).
     pub canonical: String,
-    /// Content address of this DTD: FNV-1a-64 of the canonical text, the same key
-    /// the on-disk store files entries under.  Keys the cross-workspace
-    /// [`CanonicalCache`] so tenants with private [`DtdId`]s still share verdicts.
+    /// Content address of this DTD: FNV-1a-64 of the canonical text, the key the
+    /// on-disk store files artifact and program entries under.
     pub fingerprint: u64,
     /// Structural classification (Section 6 regimes) — drives engine dispatch.
     pub class: DtdClass,
@@ -204,8 +131,8 @@ pub struct InternedQuery {
     /// names collide here by design; used for workload fleet analytics).
     pub structural_hash: u64,
     /// Id of this query's structural equivalence class representative — the first
-    /// interned member with the same canonical form.  Decision and program caches
-    /// key on it, so every spelling of an instance is decided at most once.
+    /// interned member with the same canonical form.  The served-class table keys
+    /// on it, so every spelling of an instance is decided at most once.
     pub rep: QueryId,
 }
 
@@ -220,13 +147,17 @@ pub struct ServedDecision {
     pub cached: bool,
 }
 
+/// A batch class that missed [`Workspace::lookup`]: its representative, its store
+/// entry and the batch slot its decision goes to.
+type BatchMiss<'a> = (QueryId, Arc<StoreEntry>, &'a OnceLock<Arc<Decision>>);
+
 /// What [`Workspace::lookup`] found for a class.
 enum Lookup {
-    /// Served from the class table or the shared canonical cache.
+    /// Served from the served-class table or the decision store.
     Hit(Arc<Decision>),
-    /// Not decided yet; carries the DTD's artifacts for
+    /// Not decided yet; carries the class's store entry for
     /// [`Workspace::compute_and_publish`].
-    Miss(Arc<DtdArtifacts>),
+    Miss(Arc<StoreEntry>),
 }
 
 /// What a registration did, beyond handing back the id.
@@ -304,13 +235,16 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug)]
 struct DtdSlot {
     canonical: String,
+    /// The DTD's key in the decision store.
+    key: DtdKey,
     /// The compiled artifacts while resident; `None` after LRU eviction.
     resident: Mutex<Option<Arc<DtdArtifacts>>>,
     /// Logical timestamp of the last touch (from the workspace's LRU clock).
     last_used: AtomicU64,
 }
 
-/// The satisfiability service: DTD registry, query interner, decision cache.
+/// The satisfiability service: DTD registry, query interner, served-class table over
+/// the decision store.
 #[derive(Debug, Default)]
 pub struct Workspace {
     solver: Solver,
@@ -321,15 +255,15 @@ pub struct Workspace {
     /// Structural-class representatives: canonical (plan) text → the first interned
     /// member.  Later spellings intern to fresh ids but share the representative.
     query_by_canon_text: HashMap<String, QueryId>,
-    /// Decisions and compiled programs, keyed on `(DtdId, class representative)`.
-    classes: ClassTable,
-    /// Optional cross-workspace canonical decision cache (shared between tenants).
-    canonical: Option<Arc<CanonicalCache>>,
+    /// The decision store: every class's decision and program (private unless
+    /// shared through [`Workspace::with_canonical_cache`]).
+    canonical: Arc<CanonicalCache>,
+    /// The store entries of the classes this workspace has been served.
+    served: Mutex<HashMap<ClassKey, Arc<StoreEntry>>>,
     stats: CacheStats,
     store: Option<ArtifactStore>,
     /// Maximum number of *resident* compiled artifacts; `None` = unbounded.
     resident_bound: Option<usize>,
-    resident_count: AtomicUsize,
     lru_clock: AtomicU64,
 }
 
@@ -348,19 +282,23 @@ impl Workspace {
         self
     }
 
-    /// Attach a shared [`CanonicalCache`]: decisions missing locally are looked up —
-    /// and complete fresh decisions published — under their content key
-    /// `(DTD fingerprint, canonical query text)`, so workspaces sharing one cache
-    /// (the server's tenants) answer structurally identical instances from each
-    /// other's work.
+    /// Replace the private decision store with `cache`, shared with other workspaces
+    /// (the server's tenants): each then serves structurally identical instances of
+    /// the same DTD text from the others' decisions and compiled programs.  DTDs
+    /// registered before the swap are re-keyed in the new store; the classes served
+    /// to this workspace before it stay behind in the old one.
     pub fn with_canonical_cache(mut self, cache: Arc<CanonicalCache>) -> Workspace {
-        self.canonical = Some(cache);
+        for slot in &mut self.dtds {
+            slot.key = cache.dtd_key(&slot.canonical);
+        }
+        self.served = Mutex::default();
+        self.canonical = cache;
         self
     }
 
-    /// The attached shared canonical cache, if any.
-    pub fn canonical_cache(&self) -> Option<&Arc<CanonicalCache>> {
-        self.canonical.as_ref()
+    /// The decision store this workspace decides through.
+    pub fn canonical_cache(&self) -> &Arc<CanonicalCache> {
+        &self.canonical
     }
 
     /// The attached persistent store, if any.
@@ -406,11 +344,12 @@ impl Workspace {
         CacheStats::bump(&self.stats.dtds_registered);
         let id = DtdId(self.dtds.len());
         self.dtds.push(DtdSlot {
+            key: self.canonical.dtd_key(&canonical),
             canonical: canonical.clone(),
             resident: Mutex::new(Some(artifacts)),
             last_used: AtomicU64::new(self.touch()),
         });
-        self.resident_count.fetch_add(1, Ordering::Relaxed);
+        CacheStats::bump(&self.stats.resident_dtds);
         self.dtd_by_canonical.insert(canonical, id);
         self.enforce_residency(id);
         RegisterOutcome {
@@ -480,7 +419,7 @@ impl Workspace {
         let Some(bound) = self.resident_bound else {
             return;
         };
-        while self.resident_count.load(Ordering::Relaxed) > bound {
+        while self.resident_dtds() > bound {
             let mut victim: Option<(usize, u64)> = None;
             for (index, slot) in self.dtds.iter().enumerate() {
                 if index == just_used.0 {
@@ -507,7 +446,7 @@ impl Workspace {
             if resident.is_some() && self.dtds[index].last_used.load(Ordering::Relaxed) == stamp {
                 *resident = None;
                 drop(resident);
-                self.resident_count.fetch_sub(1, Ordering::Relaxed);
+                self.stats.resident_dtds.fetch_sub(1, Ordering::Relaxed);
                 CacheStats::bump(&self.stats.dtd_evictions);
             } else {
                 return;
@@ -530,7 +469,7 @@ impl Workspace {
         CacheStats::bump(&self.stats.artifact_rebuilds);
         *resident = Some(Arc::clone(&artifacts));
         drop(resident);
-        self.resident_count.fetch_add(1, Ordering::Relaxed);
+        CacheStats::bump(&self.stats.resident_dtds);
         self.enforce_residency(id);
         Ok(artifacts)
     }
@@ -542,7 +481,7 @@ impl Workspace {
 
     /// Number of compiled artifacts currently resident in memory.
     pub fn resident_dtds(&self) -> usize {
-        self.resident_count.load(Ordering::Relaxed)
+        self.stats.resident_dtds.load(Ordering::Relaxed) as usize
     }
 
     // ---- query interner --------------------------------------------------------
@@ -558,8 +497,8 @@ impl Workspace {
 
     /// Intern an already-parsed query.  Queries with the same `Display` rendering
     /// share an id; queries with the same *structural* canonical form additionally
-    /// share a class representative, and through it every cached decision and
-    /// compiled program.
+    /// share a class representative, and through it one decision and one compiled
+    /// program.
     pub fn intern_path(&mut self, path: Path) -> QueryId {
         let canonical = path.to_string();
         if let Some(&id) = self.query_by_canonical.get(&canonical) {
@@ -600,12 +539,11 @@ impl Workspace {
     // ---- deciding --------------------------------------------------------------
     //
     // Both request shapes run one per-class pipeline: `lookup` serves a structural
-    // class from the class table or the shared canonical cache, and on a miss
+    // class from the served-class table or the decision store, and on a miss
     // `compute_and_publish` decides it and publishes the result.
 
-    /// Decide one `(dtd, query)` instance without a budget,
-    /// serving from the class table when the query's structural class has been
-    /// decided before.
+    /// Decide one `(dtd, query)` instance without a budget, serving from the decision
+    /// store when the query's structural class has been decided before.
     pub fn decide(&self, dtd: DtdId, query: QueryId) -> Result<ServedDecision, ServiceError> {
         let rep = self.query(query)?.rep;
         Ok(match self.lookup(dtd, rep)? {
@@ -613,10 +551,19 @@ impl Workspace {
                 decision,
                 cached: true,
             },
-            Lookup::Miss(artifacts) => ServedDecision {
-                decision: self.compute_and_publish(dtd, rep, &artifacts, &Budget::unlimited()),
-                cached: false,
-            },
+            Lookup::Miss(entry) => {
+                let artifacts = self.artifacts(dtd)?;
+                ServedDecision {
+                    decision: self.compute_and_publish(
+                        dtd,
+                        rep,
+                        &entry,
+                        &artifacts,
+                        &Budget::unlimited(),
+                    ),
+                    cached: false,
+                }
+            }
         })
     }
 
@@ -656,23 +603,20 @@ impl Workspace {
         reps.dedup();
         let decided: Vec<OnceLock<Arc<Decision>>> = reps.iter().map(|_| OnceLock::new()).collect();
         let mut misses = Vec::new();
-        let mut artifacts = None;
         for (&rep, slot) in reps.iter().zip(&decided) {
             match self.lookup(dtd, rep)? {
                 Lookup::Hit(decision) => {
                     let _ = slot.set(decision);
                 }
-                Lookup::Miss(found) => {
-                    misses.push((rep, slot));
-                    artifacts.get_or_insert(found);
-                }
+                Lookup::Miss(entry) => misses.push((rep, entry, slot)),
             }
         }
-        if let Some(artifacts) = artifacts {
+        if !misses.is_empty() {
             let budget = Budget {
                 max_steps,
                 deadline,
             };
+            let artifacts = self.artifacts(dtd)?;
             if self.compute_misses(dtd, &misses, &artifacts, &budget, threads) {
                 CacheStats::bump(&self.stats.deadline_exceeded);
                 return Err(ServiceError::DeadlineExceeded);
@@ -694,7 +638,7 @@ impl Workspace {
                     CacheStats::bump(&self.stats.decision_cache_hits);
                 }
                 let computed = misses
-                    .binary_search_by_key(&reps[i], |&(rep, _)| rep)
+                    .binary_search_by_key(&reps[i], |&(rep, ..)| rep)
                     .is_ok();
                 ServedDecision {
                     decision: Arc::clone(decided[i].get().expect("every class was decided")),
@@ -714,43 +658,64 @@ impl Workspace {
         }
     }
 
-    /// Probe the class table, then the shared canonical cache, for a class
-    /// representative, counting the hit.  A class-table hit never touches the DTD's
-    /// artifacts, so an evicted DTD's decisions are served without rematerialising
-    /// it; a canonical hit is republished into the class table.
+    /// The decision-store entry of a class representative against a registered DTD.
+    fn class_entry(&self, dtd: DtdId, rep: QueryId) -> Arc<StoreEntry> {
+        let query = &self.queries[rep.0];
+        self.canonical.entry(
+            self.dtds[dtd.0].key,
+            query.canonical_hash,
+            &query.canon_text,
+        )
+    }
+
+    /// Remember that this workspace has been served a decided class.
+    fn serve(&self, dtd: DtdId, rep: QueryId, entry: &Arc<StoreEntry>) {
+        lock_recovering(&self.served)
+            .entry((dtd, rep))
+            .or_insert_with(|| Arc::clone(entry));
+    }
+
+    /// Probe the served-class table, then the decision store, for a class
+    /// representative, counting the hit: a class this workspace was served before
+    /// is a `decision_cache_hits` hit, one decided elsewhere a `canonical_hits` hit.
+    /// Neither probe touches the DTD's artifacts, so an evicted DTD's decided
+    /// classes are served without rematerialising it.
     fn lookup(&self, dtd: DtdId, rep: QueryId) -> Result<Lookup, ServiceError> {
         self.check_dtd(dtd)?;
-        if let Some(hit) = self.classes.decision(&(dtd, rep)) {
+        let served = lock_recovering(&self.served)
+            .get(&(dtd, rep))
+            .and_then(|entry| entry.decision.get().cloned());
+        if let Some(hit) = served {
             CacheStats::bump(&self.stats.decision_cache_hits);
             return Ok(Lookup::Hit(hit));
         }
-        let artifacts = self.artifacts(dtd)?;
-        if let Some(shared) = &self.canonical {
-            if let Some(hit) = shared.get(artifacts.fingerprint, &self.queries[rep.0].canon_text) {
-                CacheStats::bump(&self.stats.canonical_hits);
-                return Ok(Lookup::Hit(self.classes.publish((dtd, rep), hit)));
-            }
-        }
-        Ok(Lookup::Miss(artifacts))
+        let entry = self.class_entry(dtd, rep);
+        let Some(hit) = entry.decision.get().cloned() else {
+            return Ok(Lookup::Miss(entry));
+        };
+        CacheStats::bump(&self.stats.canonical_hits);
+        self.serve(dtd, rep, &entry);
+        Ok(Lookup::Hit(hit))
     }
 
     /// Decide a class representative that missed [`Workspace::lookup`]: replay its
     /// compiled program in the VM when the class is inside the compiled fragment,
     /// else run the AST solver on the canonical path (so engine dispatch, like the
-    /// caches, sees one spelling per class).  The decision is published to the class
-    /// table and, when complete, to the shared canonical cache — unless it exhausted
-    /// its budget: such an `Unknown` reflects the caller's allowance, not the
-    /// instance, so it is returned but never published, and a later caller with a
-    /// larger budget gets a fresh run.
+    /// store, sees one spelling per class).  The decision is published to the store
+    /// entry unless it exhausted its budget: such an `Unknown` reflects the caller's
+    /// allowance, not the instance, so it is returned but never published, and a
+    /// later caller with a larger budget gets a fresh run.
     fn compute_and_publish(
         &self,
         dtd: DtdId,
         rep: QueryId,
+        entry: &Arc<StoreEntry>,
         artifacts: &DtdArtifacts,
         budget: &Budget,
     ) -> Arc<Decision> {
         let query = &self.queries[rep.0];
-        let replayed = self.program_for(dtd, rep, artifacts).and_then(|program| {
+        let program = self.program_for(entry, query, artifacts);
+        let replayed = program.and_then(|program| {
             let replayed = VM_SCRATCH.with(|cell| {
                 xpsat_plan::vm::decide(
                     &program,
@@ -777,15 +742,8 @@ impl Workspace {
             CacheStats::bump(&self.stats.resource_exhausted);
             return Arc::new(decision);
         }
-        let stored = self.classes.publish((dtd, rep), Arc::new(decision));
-        // Partial verdicts reflect one engine's reach and stay in this workspace.
-        if let (Some(shared), true) = (&self.canonical, stored.complete) {
-            shared.publish(
-                artifacts.fingerprint,
-                &query.canon_text,
-                Arc::clone(&stored),
-            );
-        }
+        let stored = Arc::clone(entry.decision.get_or_init(|| Arc::new(decision)));
+        self.serve(dtd, rep, entry);
         stored
     }
 
@@ -795,7 +753,7 @@ impl Workspace {
     fn compute_misses(
         &self,
         dtd: DtdId,
-        misses: &[(QueryId, &OnceLock<Arc<Decision>>)],
+        misses: &[BatchMiss<'_>],
         artifacts: &DtdArtifacts,
         budget: &Budget,
         threads: usize,
@@ -809,10 +767,11 @@ impl Workspace {
                     expired.store(true, Ordering::Relaxed);
                     break;
                 }
-                let Some(&(rep, slot)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                let Some((rep, entry, slot)) = misses.get(next.fetch_add(1, Ordering::Relaxed))
+                else {
                     break;
                 };
-                let decision = self.compute_and_publish(dtd, rep, artifacts, budget);
+                let decision = self.compute_and_publish(dtd, *rep, entry, artifacts, budget);
                 // A deadline interruption mid-decision aborts the batch like the
                 // between-classes check does; a spent step allowance is a result.
                 if decision.exhausted == Some(Exhausted::Deadline) {
@@ -849,26 +808,43 @@ impl Workspace {
         expired.into_inner()
     }
 
-    /// The compiled decision program of a class representative: from the class
-    /// table, else from the persistent store when one is attached and holds a valid
-    /// entry (zero compiles after a restart), else compiled on first touch (and
-    /// written back).  `None` = outside the compiled fragment, decided by the AST
-    /// solver; the bail reason is counted per [`xpsat_plan::BailReason`].
+    /// The compiled decision program of a class, stamped for `artifacts`.  It is
+    /// resolved once per class in the decision store: loaded from the persistent
+    /// store when one is attached and holds a valid entry (zero compiles after a
+    /// restart), else compiled (and written back).  `None` = outside the compiled
+    /// fragment, decided by the AST solver.
     fn program_for(
         &self,
-        dtd: DtdId,
-        rep: QueryId,
+        entry: &StoreEntry,
+        query: &InternedQuery,
         artifacts: &DtdArtifacts,
     ) -> Option<Arc<DecisionProgram>> {
-        if let Some(program) = self.classes.program(&(dtd, rep)) {
-            return program;
+        let program = entry
+            .program
+            .get_or_init(|| self.resolve_program(query, artifacts))
+            .clone()?;
+        let uid = artifacts.compiled.uid();
+        if program.dtd_uid == uid {
+            return Some(program);
         }
-        // Store lookup and compile both run outside the lock: concurrent first
-        // touches race benignly (the compiler is deterministic, and the first
-        // settled program wins).
-        let query = &self.queries[rep.0];
-        let mut program: Option<Arc<DecisionProgram>> = None;
-        let mut from_store = false;
+        // Resolved against another build of this DTD text (another tenant's, or this
+        // workspace's before an eviction).  Symbol numbering is a function of the
+        // canonical text, so the program replays here once re-stamped, exactly as
+        // the persistent store re-stamps the programs it loads.
+        Some(Arc::new(DecisionProgram {
+            dtd_uid: uid,
+            ..DecisionProgram::clone(&program)
+        }))
+    }
+
+    /// Load a class's program from the persistent store, else compile it (writing it
+    /// back); `None` when the class is outside the compiled fragment, counted per
+    /// [`xpsat_plan::BailReason`].
+    fn resolve_program(
+        &self,
+        query: &InternedQuery,
+        artifacts: &DtdArtifacts,
+    ) -> Option<Arc<DecisionProgram>> {
         if let Some(store) = &self.store {
             match store.load_program(
                 artifacts.fingerprint,
@@ -881,8 +857,7 @@ impl Workspace {
                     // untouched, which is exactly what the restart acceptance
                     // check asserts.
                     CacheStats::bump(&self.stats.program_store_hits);
-                    program = Some(Arc::new(rehydrated));
-                    from_store = true;
+                    return Some(Arc::new(rehydrated));
                 }
                 Err(miss) => {
                     if miss == StoreMiss::Invalid {
@@ -892,36 +867,34 @@ impl Workspace {
                 }
             }
         }
-        if !from_store {
-            match xpsat_plan::compile_with_reason(
-                &artifacts.compiled,
-                &query.canon_path,
-                &CompileLimits::default(),
-            ) {
-                Ok(compiled) => {
-                    CacheStats::bump(&self.stats.programs_compiled);
-                    if let Some(store) = &self.store {
-                        if store
-                            .save_program(
-                                artifacts.fingerprint,
-                                query.canonical_hash,
-                                &query.canon_text,
-                                &compiled,
-                            )
-                            .is_ok()
-                        {
-                            CacheStats::bump(&self.stats.program_store_writes);
-                        }
+        match xpsat_plan::compile_with_reason(
+            &artifacts.compiled,
+            &query.canon_path,
+            &CompileLimits::default(),
+        ) {
+            Ok(compiled) => {
+                CacheStats::bump(&self.stats.programs_compiled);
+                if let Some(store) = &self.store {
+                    if store
+                        .save_program(
+                            artifacts.fingerprint,
+                            query.canonical_hash,
+                            &query.canon_text,
+                            &compiled,
+                        )
+                        .is_ok()
+                    {
+                        CacheStats::bump(&self.stats.program_store_writes);
                     }
-                    program = Some(Arc::new(compiled));
                 }
-                Err(reason) => {
-                    CacheStats::bump(&self.stats.program_fallbacks);
-                    CacheStats::bump(&self.stats.compile_bailouts[reason.index()]);
-                }
+                Some(Arc::new(compiled))
+            }
+            Err(reason) => {
+                CacheStats::bump(&self.stats.program_fallbacks);
+                CacheStats::bump(&self.stats.compile_bailouts[reason.index()]);
+                None
             }
         }
-        self.classes.settle_program((dtd, rep), program)
     }
 
     /// The compiled decision program of a query against a registered DTD (compiling
@@ -933,17 +906,15 @@ impl Workspace {
         dtd: DtdId,
         query: QueryId,
     ) -> Result<Option<Arc<DecisionProgram>>, ServiceError> {
-        self.query(query)?;
-        let rep = self.queries[query.0].rep;
+        let rep = self.query(query)?.rep;
         let artifacts = self.artifacts(dtd)?;
-        Ok(self.program_for(dtd, rep, &artifacts))
+        let entry = self.class_entry(dtd, rep);
+        Ok(self.program_for(&entry, &self.queries[rep.0], &artifacts))
     }
 
     /// Current counter values (including the resident-artifact gauge).
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snapshot = self.stats.snapshot();
-        snapshot.resident_dtds = self.resident_count.load(Ordering::Relaxed) as u64;
-        snapshot
+        self.stats.snapshot()
     }
 
     /// `(hits, analyses built)` of the solver's negation-analysis memo.
@@ -1055,6 +1026,68 @@ mod tests {
         let again = ws.decide(a, q).unwrap();
         assert!(again.cached);
         let _ = (b, c);
+    }
+
+    #[test]
+    fn a_program_replays_after_its_dtd_is_evicted_and_rebuilt() {
+        let mut ws = Workspace::default().with_resident_bound(1);
+        let d = ws
+            .register_dtd("r -> a; a -> b | c; b -> d?; c -> #; d -> #;")
+            .unwrap();
+        let q = ws.intern("a[b/d or c]").unwrap();
+        // One step of fuel: the program is compiled, the decision exhausts and is not
+        // published.
+        let capped = ws.decide_batch(d, &[q], 1, None, Some(1)).unwrap();
+        assert!(capped[0].decision.exhausted.is_some());
+        // Evict the DTD: the next decide rebuilds its artifacts as a new build, and
+        // the stored program must still replay against it.
+        ws.register_dtd(DTD_A).unwrap();
+        let served = ws.decide(d, q).unwrap();
+        assert_eq!(engine_slug(served.decision.engine), "compiled-vm");
+        let stats = ws.stats();
+        assert_eq!(stats.artifact_rebuilds, 1, "{stats}");
+        assert_eq!(stats.vm_witness_fallbacks, 0, "{stats}");
+        assert_eq!(stats.programs_compiled, 1, "{stats}");
+    }
+
+    #[test]
+    fn the_store_matches_dtds_by_their_exact_text() {
+        let shared = Arc::new(CanonicalCache::new());
+        let mut first = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+        let (a1, b1) = (
+            first.register_dtd(DTD_A).unwrap(),
+            first.register_dtd(DTD_B).unwrap(),
+        );
+        // A DTD registered before the swap is re-keyed in the shared store.
+        let mut second = Workspace::default();
+        let b2 = second.register_dtd(DTD_B).unwrap();
+        let mut second = second.with_canonical_cache(Arc::clone(&shared));
+        let a2 = second.register_dtd(DTD_A).unwrap();
+        let key = |ws: &Workspace, id: DtdId| ws.dtds[id.0].key;
+        // The same text gets the same key in both workspaces, whatever its id.
+        assert_eq!(key(&first, a1), key(&second, a2));
+        assert_eq!(key(&first, b1), key(&second, b2));
+        assert_ne!(key(&first, a1), key(&first, b1));
+
+        // `c` is satisfiable under DTD_B and not under DTD_A: an entry published
+        // under one must not answer the same query text under the other.
+        let q1 = first.intern("c").unwrap();
+        let published = first.decide(b1, q1).unwrap();
+        assert!(matches!(
+            published.decision.result,
+            xpsat_core::Satisfiability::Satisfiable(_)
+        ));
+        let q2 = second.intern("c").unwrap();
+        let other = second.decide(a2, q2).unwrap();
+        assert!(!other.cached);
+        assert!(matches!(
+            other.decision.result,
+            xpsat_core::Satisfiability::Unsatisfiable
+        ));
+        assert_eq!(second.stats().canonical_hits, 0);
+        // Under the same text it is a store hit.
+        assert!(second.decide(b2, q2).unwrap().cached);
+        assert_eq!(second.stats().canonical_hits, 1);
     }
 
     #[test]
