@@ -322,11 +322,14 @@ const NEGATION_MEMO_CAP: usize = 4096;
 ///
 /// [`negation::prepare`] builds the suffix closure, head-normal forms and demand
 /// indices of a query — work that depends only on `(DTD, query)` and dominates repeated
-/// negation-heavy traffic that misses the service's decision cache (distinct
-/// workspaces, eviction, or direct [`Solver::decide_budgeted`] loops).  The memo
-/// replays the owned [`PreparedQuery`] instead.  Keying by [`DtdArtifacts::uid`] makes
-/// entries die with their compile: a re-registered or rematerialised DTD gets a fresh
-/// uid, so stale symbol resolutions can never be replayed against the wrong compile.
+/// negation-heavy calls; the memo replays the owned [`PreparedQuery`] instead.  The
+/// service decides each class once per DTD text through its decision store, which the
+/// server's tenants share and which outlives evictions, so the memo serves only
+/// repeated direct [`Solver`] calls, such as [`Solver::decide_budgeted`] loops (and the
+/// service's retries of budget-exhausted decisions, which the store never keeps).
+/// Keying by [`DtdArtifacts::uid`] makes entries die with their compile: a
+/// re-registered or rematerialised DTD gets a fresh uid, so stale symbol resolutions
+/// can never be replayed against the wrong compile.
 #[derive(Debug, Default)]
 struct NegationMemo {
     prepared: Mutex<HashMap<(u64, String), Arc<PreparedQuery>>>,

@@ -2,54 +2,19 @@
 //! children words) into complete documents that conform to the DTD.
 
 use std::collections::BTreeSet;
-use xpsat_automata::{CoverDemand, Nfa};
-use xpsat_dtd::{CompiledDtd, Dtd, Sym, TreeGenerator};
+use xpsat_automata::CoverDemand;
+use xpsat_dtd::{CompiledDtd, Dtd, Sym};
 use xpsat_xmltree::{Document, NodeId};
 
 /// Build a conforming document containing a root-to-leaf chain of elements whose labels
-/// are `chain` (the root label is the DTD's root and is not part of `chain`).
+/// are `chain`, given in interned symbols (the root is the DTD's root and is not part of
+/// `chain`).
 ///
-/// Every node along the chain gets a children word that contains the next chain label
-/// (plus whatever siblings its content model forces); all other nodes are expanded
-/// minimally.  Returns `None` when some step of the chain cannot be realised — which
-/// cannot happen for chains produced by the reachability analyses.
-pub fn materialize_chain(
-    dtd: &Dtd,
-    generator: &TreeGenerator,
-    chain: &[String],
-) -> Option<Document> {
-    let mut doc = Document::new(dtd.root());
-    let mut current = doc.root();
-    for label in chain {
-        let content = dtd.content(doc.label(current))?;
-        let nfa = Nfa::glushkov(content);
-        let demand = CoverDemand::none().require(label.clone(), 1);
-        let word = xpsat_automata::shortest_covering_word(&nfa, &demand)?;
-        let mut chain_child = None;
-        for sym in word {
-            let child = doc.add_child(current, sym.clone());
-            if chain_child.is_none() && &sym == label {
-                chain_child = Some(child);
-            }
-        }
-        // Expand the siblings of the chain child minimally; the chain child itself is
-        // expanded by the next iteration (or minimally at the end).
-        let children: Vec<NodeId> = doc.children(current).to_vec();
-        for child in children {
-            if Some(child) != chain_child {
-                generator.expand_minimal(&mut doc, child);
-            }
-        }
-        current = chain_child?;
-    }
-    generator.expand_minimal(&mut doc, current);
-    fill_missing_attributes(&mut doc, dtd);
-    Some(doc)
-}
-
-/// [`materialize_chain`] over a compiled DTD: the chain is given in interned symbols and
-/// the children words come from the precompiled content-model automata, so nothing is
-/// re-derived per call.
+/// Every node along the chain gets a children word, taken from the precompiled
+/// content-model automata, that contains the next chain label (plus whatever siblings
+/// its content model forces); all other nodes are expanded minimally.  Returns `None`
+/// when some step of the chain cannot be realised — which cannot happen for chains
+/// produced by the reachability analyses.
 pub fn materialize_chain_compiled(compiled: &CompiledDtd, chain: &[Sym]) -> Option<Document> {
     let mut doc = Document::new(compiled.name(compiled.root()));
     let mut current = doc.root();
@@ -97,15 +62,17 @@ pub fn fill_missing_attributes(doc: &mut Document, dtd: &Dtd) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpsat_dtd::{parse_dtd, validate};
+    use xpsat_dtd::{parse_dtd, validate, DtdArtifacts};
 
     #[test]
     fn chains_are_materialised_into_conforming_documents() {
         let dtd =
             parse_dtd("r -> head, (a | b)*; a -> c, d; b -> #; c -> #; d -> #; head -> #; @c: id;")
                 .unwrap();
-        let gen = TreeGenerator::new(&dtd);
-        let doc = materialize_chain(&dtd, &gen, &["a".into(), "c".into()]).unwrap();
+        let artifacts = DtdArtifacts::build(&dtd);
+        let compiled = artifacts.compiled().unwrap();
+        let chain = ["a", "c"].map(|name| compiled.elem_sym(name).unwrap());
+        let doc = materialize_chain_compiled(compiled, &chain).unwrap();
         assert_eq!(validate(&doc, &dtd), Ok(()));
         // The chain r/a/c exists.
         let query = xpsat_xpath::parse_path("a/c").unwrap();
@@ -115,7 +82,9 @@ mod tests {
     #[test]
     fn impossible_chains_are_rejected() {
         let dtd = parse_dtd("r -> a; a -> #; b -> #;").unwrap();
-        let gen = TreeGenerator::new(&dtd);
-        assert!(materialize_chain(&dtd, &gen, &["b".into()]).is_none());
+        let artifacts = DtdArtifacts::build(&dtd);
+        let compiled = artifacts.compiled().unwrap();
+        let b = compiled.elem_sym("b").unwrap();
+        assert!(materialize_chain_compiled(compiled, &[b]).is_none());
     }
 }

@@ -452,13 +452,10 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
         .workspace()
         .artifacts(id)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let class = &artifacts.class;
-    println!("root:               {}", artifacts.dtd.root());
-    println!(
-        "element types:      {}",
-        artifacts.dtd.element_names().len()
-    );
-    println!("size |D|:           {}", artifacts.dtd.size());
+    let (dtd, class) = (artifacts.compiled.dtd(), artifacts.compiled.class());
+    println!("root:               {}", dtd.root());
+    println!("element types:      {}", dtd.element_names().len());
+    println!("size |D|:           {}", dtd.size());
     println!("recursive:          {}", class.recursive);
     println!("disjunction-free:   {}", class.disjunction_free);
     println!("has star:           {}", class.has_star);
@@ -477,7 +474,7 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
     );
     for text in &options.positional {
         let q = session
-            .workspace_mut()
+            .workspace()
             .intern(text)
             .map_err(|e| service_error_to_cli(e, text))?;
         let program = session
@@ -490,9 +487,9 @@ fn cmd_classify(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(e.to_string()))?;
         println!();
         println!("query:              {}", query.canonical);
-        println!("canonical form:     {}", query.canon_text);
-        println!("canonical hash:     {:016x}", query.canonical_hash);
-        println!("structural hash:    {:016x}", query.structural_hash);
+        println!("canonical form:     {}", query.class.text);
+        println!("canonical hash:     {:016x}", query.class.canonical_hash);
+        println!("structural hash:    {:016x}", query.class.structural_hash);
         match program {
             Some(program) => println!("compiled program:   {} ops", program.ops.len()),
             None => println!("compiled program:   none (outside the compiled fragment)"),

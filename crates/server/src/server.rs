@@ -336,10 +336,11 @@ fn execute_job(job: &Job, shared: &Shared) -> Json {
     // Panic isolation: a request that panics (a solver bug, a hostile input that
     // found a hole in the resource governor) answers `internal_error` and leaves the
     // worker — and every other tenant — serving.  `handle_request` takes `&self`
-    // (the protocol server locks internally, and only around workspace mutation),
-    // so jobs of one tenant execute concurrently across workers; the internal
-    // locks recover from poisoning because tenant state is monotone
-    // (registrations and caches), so a panic mid-request cannot corrupt it.
+    // (the protocol server locks internally: only `register_dtd` takes its write
+    // lock), so jobs of one tenant execute concurrently across workers, a
+    // registration excepted; the internal locks recover from poisoning because
+    // tenant state is monotone (registrations and caches), so a panic mid-request
+    // cannot corrupt it.
     let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
         job.tenant.proto().handle_request(&job.request)
     }))

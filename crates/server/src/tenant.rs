@@ -25,11 +25,11 @@ use crate::ServerConfig;
 pub const DEFAULT_TENANT: &str = "public";
 
 /// One tenant: its protocol server (and thus workspace).  Request handling is
-/// `&self` all the way down — the protocol server locks internally, and only for
-/// the moments that actually mutate the workspace (registering a DTD, interning a
-/// query).  Decides from many connections of one tenant therefore run
-/// *concurrently*; the old design serialised every request of a tenant behind one
-/// outer mutex.
+/// `&self` all the way down, with no outer lock.  `check`, `batch`, `classify` and
+/// `stats` share the workspace's read lock (interning goes through the workspace's
+/// own query table), so requests from many connections of one tenant, decides
+/// included, run *concurrently*.  Only `register_dtd` takes the write lock: it waits
+/// for the tenant's requests in flight, and requests arriving meanwhile wait for it.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,

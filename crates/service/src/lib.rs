@@ -66,7 +66,8 @@ pub use stats::{CacheStats, StatsSnapshot};
 pub use store::{canonical_key, ArtifactStore, StoreMiss, STORE_VERSION};
 pub use workspace::{
     decision_fingerprint, effective_threads, engine_slug, verdict_fingerprint, DtdArtifacts, DtdId,
-    ErrorSpan, InternedQuery, QueryId, RegisterOutcome, ServedDecision, ServiceError, Workspace,
+    ErrorSpan, InternedQuery, QueryClass, QueryId, RegisterOutcome, ServedDecision, ServiceError,
+    Workspace,
 };
 pub use xpsat_plan::DecisionProgram;
 
@@ -94,9 +95,15 @@ mod tests {
         assert_eq!(stats.classifications, 2);
         assert_eq!(stats.normalizations, 2);
         // One Glushkov automaton per element type of each registered DTD.
-        let total_elements = (ws.artifacts(a).unwrap().dtd.element_names().len()
-            + ws.artifacts(c).unwrap().dtd.element_names().len())
-            as u64;
+        let elements = |id| {
+            ws.artifacts(id)
+                .unwrap()
+                .compiled
+                .dtd()
+                .element_names()
+                .len()
+        };
+        let total_elements = (elements(a) + elements(c)) as u64;
         assert_eq!(stats.automata_built, total_elements);
     }
 
@@ -106,8 +113,8 @@ mod tests {
         let id = ws.register_dtd(DTD).unwrap();
         let artifacts = ws.artifacts(id).unwrap();
         let direct = parse_dtd(DTD).unwrap();
-        assert_eq!(artifacts.dtd, direct);
-        assert_eq!(artifacts.class, xpsat_dtd::classify(&direct));
+        assert_eq!(artifacts.compiled.dtd(), &direct);
+        assert_eq!(artifacts.compiled.class(), &xpsat_dtd::classify(&direct));
         assert_eq!(
             artifacts.normalization.dtd,
             xpsat_dtd::normalize(&direct).dtd
@@ -126,7 +133,7 @@ mod tests {
 
     #[test]
     fn interning_dedupes_by_canonical_form() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let a = ws.intern("a[b]").unwrap();
         // Same canonical rendering, different surface text.
         let b = ws.intern("a[ b ]").unwrap();
@@ -183,10 +190,10 @@ mod tests {
         let q2 = ws.intern("a[not(c)][b]").unwrap();
         assert_ne!(q1, q2, "different spellings intern separately");
         assert_eq!(
-            ws.query(q1).unwrap().canon_text,
-            ws.query(q2).unwrap().canon_text
+            ws.query(q1).unwrap().class.text,
+            ws.query(q2).unwrap().class.text
         );
-        assert_eq!(ws.query(q2).unwrap().rep, q1);
+        assert_eq!(ws.query(q2).unwrap().class.rep, q1);
         let first = ws.decide(d, q1).unwrap();
         assert!(!first.cached);
         // The equivalent spelling is a cache hit — same Arc, zero recomputation.
@@ -194,6 +201,26 @@ mod tests {
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.decision, &second.decision));
         assert_eq!(ws.stats().decisions_computed, 1);
+
+        // A spelling can be another spelling's canonical text: `a[b and c]` is the
+        // class text of `a[c][b]`, interned first.  All three spellings get their
+        // own ids and share the first one's class.
+        let mut ws = Workspace::default();
+        let d = ws.register_dtd(DTD).unwrap();
+        let ids: Vec<QueryId> = ["a[c][b]", "a[b and c]", "a[b][c]"]
+            .iter()
+            .map(|text| ws.intern(text).unwrap())
+            .collect();
+        assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2]);
+        for &id in &ids {
+            let class = ws.query(id).unwrap().class;
+            assert_eq!(class.rep, ids[0]);
+            assert!(Arc::ptr_eq(&class, &ws.query(ids[0]).unwrap().class));
+            ws.decide(d, id).unwrap();
+        }
+        let stats = ws.stats();
+        assert_eq!(stats.decisions_computed, 1, "{stats}");
+        assert_eq!(stats.queries_interned, 3, "{stats}");
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! malformed line never kills the loop.
 
 use crate::json::Json;
-use crate::workspace::{engine_slug, DtdId, ServedDecision, ServiceError, Workspace};
+use crate::workspace::{
+    engine_slug, read_recovering, write_recovering, DtdId, ServedDecision, ServiceError, Workspace,
+};
 use std::io::{BufRead, Write};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -45,9 +47,10 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 /// A stateful protocol server over one workspace.
 ///
 /// Request handling takes `&self`: the workspace sits behind a [`RwLock`] whose write
-/// lock guards only *registry mutation* (DTD registration, query interning), while
-/// decides — the long part of every request — run under the read lock, so concurrent
-/// requests against one tenant no longer serialise on a protocol-wide mutex.
+/// lock is taken only by `register_dtd`.  `check`, `batch`, `classify` and `stats` run
+/// under the read lock alone — interning goes through the workspace's own query
+/// table — so one tenant's requests, decides included, run concurrently; only a
+/// registration waits for the requests in flight (and holds later ones back).
 #[derive(Debug)]
 pub struct ProtocolServer {
     workspace: RwLock<Workspace>,
@@ -88,17 +91,13 @@ impl ProtocolServer {
     /// guarded holds plain data whose every intermediate state is valid, so poison
     /// from a panicked request is recovered rather than propagated.
     fn read_ws(&self) -> RwLockReadGuard<'_, Workspace> {
-        self.workspace
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        read_recovering(&self.workspace)
     }
 
-    /// Write access to the workspace — held only for registry mutation (register,
-    /// intern), never across a decide.
+    /// Write access to the workspace — held only by DTD registration, never across a
+    /// decide.
     fn write_ws(&self) -> RwLockWriteGuard<'_, Workspace> {
-        self.workspace
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        write_recovering(&self.workspace)
     }
 
     /// Enable the fault-injection ops (`debug_panic`), used by the resilience tests
@@ -131,8 +130,9 @@ impl ProtocolServer {
         self.max_line_bytes
     }
 
-    /// The workspace behind the server (a read guard; drop it before issuing
-    /// requests that mutate the registry).
+    /// The workspace behind the server, as a read guard.  `check`, `batch`,
+    /// `classify` and `stats` are served while it is held; a `register_dtd` waits
+    /// until it is dropped.
     pub fn workspace(&self) -> RwLockReadGuard<'_, Workspace> {
         self.read_ws()
     }
@@ -271,10 +271,10 @@ impl ProtocolServer {
             .unwrap_or(false);
         let deadline = self.deadline_of(request);
         let max_steps = self.max_steps_of(request);
-        // The write lock covers only the intern; the decide below runs under the
-        // read lock, concurrently with other requests.
-        let query = self.write_ws().intern(text)?;
+        // Interning and deciding both run under the read lock, concurrently with
+        // the tenant's other requests.
         let ws = self.read_ws();
+        let query = ws.intern(text)?;
         let served = ws
             .decide_batch(dtd, &[query], 1, deadline, max_steps)?
             .pop()
@@ -287,7 +287,7 @@ impl ProtocolServer {
                 served.decision.engine,
             ));
         }
-        let canonical = ws.query(query)?.canonical.clone();
+        let canonical = ws.query(query)?.canonical;
         let mut response = vec![
             ("ok", Json::Bool(true)),
             ("op", Json::Str("check".into())),
@@ -316,23 +316,18 @@ impl ProtocolServer {
         };
         let deadline = self.deadline_of(request);
         let max_steps = self.max_steps_of(request);
-        let mut ids = Vec::with_capacity(items.len());
-        {
-            // One write acquisition for the whole intern phase; released before the
-            // (parallel, possibly long) decide.
-            let mut ws = self.write_ws();
-            for (i, item) in items.iter().enumerate() {
-                let text = item.as_str().ok_or_else(|| {
-                    ProtocolError::new("malformed_request", format!("queries[{i}] is not a string"))
-                })?;
-                ids.push(ws.intern(text)?);
-            }
-        }
         let ws = self.read_ws();
+        let mut ids = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let text = item.as_str().ok_or_else(|| {
+                ProtocolError::new("malformed_request", format!("queries[{i}] is not a string"))
+            })?;
+            ids.push(ws.intern(text)?);
+        }
         let served = ws.decide_batch(dtd, &ids, threads, deadline, max_steps)?;
         let mut results = Vec::with_capacity(served.len());
         for (id, one) in ids.iter().zip(&served) {
-            let mut fields = vec![("query", Json::Str(ws.query(*id)?.canonical.clone()))];
+            let mut fields = vec![("query", Json::Str(ws.query(*id)?.canonical))];
             fields.extend(decision_fields(one, with_witness));
             results.push(Json::obj(fields));
         }
@@ -361,31 +356,26 @@ impl ProtocolServer {
         // With an optional "query", classify also reports the query's canonical
         // form, its structural hashes and the compiled-program shape against this
         // DTD — the introspection hook for the cross-tenant canonical cache.
-        let ws;
+        let ws = self.read_ws();
         let query_fields = match request.get("query").and_then(Json::as_str) {
-            None => {
-                ws = self.read_ws();
-                None
-            }
+            None => None,
             Some(text) => {
-                let id = self.write_ws().intern(text)?;
-                ws = self.read_ws();
+                let id = ws.intern(text)?;
                 let program = ws.compiled_program(dtd, id)?;
                 let interned = ws.query(id)?;
-                let route = xpsat_core::Solver::predict_route(
-                    &ws.artifacts(dtd)?.compiled,
-                    &interned.canon_path,
-                );
+                let class = &interned.class;
+                let route =
+                    xpsat_core::Solver::predict_route(&ws.artifacts(dtd)?.compiled, &class.path);
                 Some(vec![
-                    ("query", Json::Str(interned.canonical.clone())),
-                    ("canonical_query", Json::Str(interned.canon_text.clone())),
+                    ("query", Json::Str(interned.canonical)),
+                    ("canonical_query", Json::Str(class.text.clone())),
                     (
                         "canonical_hash",
-                        Json::Str(format!("{:016x}", interned.canonical_hash)),
+                        Json::Str(format!("{:016x}", class.canonical_hash)),
                     ),
                     (
                         "structural_hash",
-                        Json::Str(format!("{:016x}", interned.structural_hash)),
+                        Json::Str(format!("{:016x}", class.structural_hash)),
                     ),
                     ("compiled", Json::Bool(program.is_some())),
                     (
@@ -405,17 +395,18 @@ impl ProtocolServer {
             }
         };
         let artifacts = ws.artifacts(dtd)?;
-        let class = &artifacts.class;
+        let compiled = &artifacts.compiled;
+        let class = compiled.class();
         let mut response = Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("op", Json::Str("classify".into())),
             ("dtd_id", Json::Num(dtd.index() as f64)),
-            ("root", Json::Str(artifacts.dtd.root().to_string())),
+            ("root", Json::Str(compiled.dtd().root().to_string())),
             (
                 "elements",
-                Json::Num(artifacts.dtd.element_names().len() as f64),
+                Json::Num(compiled.dtd().element_names().len() as f64),
             ),
-            ("size", Json::Num(artifacts.dtd.size() as f64)),
+            ("size", Json::Num(compiled.dtd().size() as f64)),
             ("recursive", Json::Bool(class.recursive)),
             ("disjunction_free", Json::Bool(class.disjunction_free)),
             ("has_star", Json::Bool(class.has_star)),
@@ -423,16 +414,13 @@ impl ProtocolServer {
             // The 1308.0769 property bundle the compiled-VM fragment widens on.
             (
                 "duplicate_free",
-                Self::props_field(&artifacts.compiled, |p| p.duplicate_free),
+                Self::props_field(compiled, |p| p.duplicate_free),
             ),
             (
                 "disjunction_capsuled",
-                Self::props_field(&artifacts.compiled, |p| p.disjunction_capsuled),
+                Self::props_field(compiled, |p| p.disjunction_capsuled),
             ),
-            (
-                "covering",
-                Self::props_field(&artifacts.compiled, |p| p.covering),
-            ),
+            ("covering", Self::props_field(compiled, |p| p.covering)),
             (
                 "depth_bound",
                 class
@@ -444,10 +432,7 @@ impl ProtocolServer {
                 "normalization_new_types",
                 Json::Num(artifacts.normalization.new_types.len() as f64),
             ),
-            (
-                "automata",
-                Json::Num(artifacts.compiled.automata_count() as f64),
-            ),
+            ("automata", Json::Num(compiled.automata_count() as f64)),
         ]);
         if let (Json::Obj(fields), Some(extra)) = (&mut response, query_fields) {
             for (key, value) in extra {
@@ -864,6 +849,40 @@ mod tests {
              program_store_corrupt compile_bailouts_by_reason negation_memo_hits \
              negation_memo_built"
         );
+    }
+
+    #[test]
+    fn requests_are_served_while_the_workspace_is_read() {
+        let server = ProtocolServer::new(1);
+        let reg = server.handle_line(r#"{"op":"register_dtd","dtd":"r -> a*; a -> b?; b -> #;"}"#);
+        assert!(reg.contains(r#""ok":true"#), "{reg}");
+        server.handle_line(r#"{"op":"check","dtd_id":0,"query":"a"}"#);
+        let requests = [
+            r#"{"op":"check","dtd_id":0,"query":"a"}"#,
+            r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#,
+            r#"{"op":"batch","dtd_id":0,"queries":["a/b","b"],"threads":1}"#,
+            r#"{"op":"classify","dtd_id":0,"query":"a[b][b]"}"#,
+        ];
+        let server = &server;
+        std::thread::scope(|scope| {
+            // A reader in flight, as a long decide would be: none of these requests
+            // may wait for it.
+            let guard = server.workspace();
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let client = scope.spawn(move || {
+                for request in requests {
+                    sender.send(server.handle_line(request)).unwrap();
+                }
+            });
+            for request in requests {
+                let response = receiver
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("no answer to {request} under a read guard"));
+                assert!(response.contains(r#""ok":true"#), "{response}");
+            }
+            drop(guard);
+            client.join().unwrap();
+        });
     }
 
     #[test]

@@ -61,14 +61,9 @@ impl Session {
         self.workspace.decide_batch(dtd, &ids, threads, None, None)
     }
 
-    /// The underlying workspace (read access: artifacts, stats).
+    /// The underlying workspace (artifacts, stats, interning and deciding by id).
     pub fn workspace(&self) -> &Workspace {
         &self.workspace
-    }
-
-    /// The underlying workspace (full access).
-    pub fn workspace_mut(&mut self) -> &mut Workspace {
-        &mut self.workspace
     }
 
     fn require_current(&self) -> Result<DtdId, ServiceError> {

@@ -247,7 +247,7 @@ fn encode(artifacts: &DtdArtifacts) -> Vec<u8> {
     w.bytes(MAGIC);
     w.u32(STORE_VERSION);
     w.str(&artifacts.canonical);
-    encode_class(&mut w, &artifacts.class);
+    encode_class(&mut w, artifacts.compiled.class());
     w.str(&artifacts.normalization.dtd.to_string());
     w.u32(artifacts.normalization.new_types.len() as u32);
     for name in &artifacts.normalization.new_types {
@@ -393,10 +393,8 @@ fn decode(bytes: &[u8], expected_canonical: &str) -> Option<DtdArtifacts> {
     }
     let fingerprint = canonical_key(&canonical);
     Some(DtdArtifacts {
-        dtd: dtd.clone(),
         canonical,
         fingerprint,
-        class: class.clone(),
         normalization,
         compiled: xpsat_dtd::DtdArtifacts::from_cached_parts(dtd, class, compiled),
     })
@@ -795,10 +793,8 @@ mod tests {
         compiled.warm();
         let fingerprint = canonical_key(&canonical);
         DtdArtifacts {
-            dtd: dtd.clone(),
             canonical,
             fingerprint,
-            class: compiled.class().clone(),
             normalization: xpsat_dtd::normalize(&dtd),
             compiled,
         }
@@ -818,8 +814,8 @@ mod tests {
         assert!(store.contains(&fresh.canonical));
         let loaded = store.load(&fresh.canonical).unwrap();
         assert_eq!(loaded.canonical, fresh.canonical);
-        assert_eq!(loaded.dtd, fresh.dtd);
-        assert_eq!(loaded.class, fresh.class);
+        assert_eq!(loaded.compiled.dtd(), fresh.compiled.dtd());
+        assert_eq!(loaded.compiled.class(), fresh.compiled.class());
         assert_eq!(loaded.normalization.dtd, fresh.normalization.dtd);
         assert_eq!(
             loaded.normalization.new_types,
@@ -937,7 +933,7 @@ mod tests {
         store.save(&fresh).unwrap();
         let loaded = store.load(&fresh.canonical).unwrap();
         assert!(loaded.compiled.compiled().is_none());
-        assert_eq!(loaded.class, fresh.class);
+        assert_eq!(loaded.compiled.class(), fresh.compiled.class());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,6 +9,9 @@
 //! Queries are interned by canonical text so repeated paths share one [`QueryId`],
 //! grouped further into *structural equivalence classes* by the plan compiler's
 //! canonical form (`a[b and c]` ≡ `a[c][b]`), and decided at most once per class.
+//! One query table holds both: a single map from text to the spelling and/or the
+//! class it names, each class ([`QueryClass`]) stored once and shared by its
+//! spellings.  The table sits behind its own lock, so interning takes `&self`.
 //!
 //! Decisions and compiled programs live in one place, the content-keyed decision
 //! store ([`CanonicalCache`]), which matches DTDs by their exact canonical text.  A
@@ -30,8 +33,9 @@
 //! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
 //! look the class up among those this workspace has already been served (a
 //! `decision_cache_hits` hit), then in the store (a `canonical_hits` hit); on a miss,
-//! compute it and publish the result.  Both take `&self`, so one workspace can be
-//! shared across batch workers and concurrent requests.  Decisions are stored and
+//! compute it and publish the result.  `decide` is a one-query batch.  Interning and
+//! deciding take `&self`, so one workspace can be shared across batch workers and
+//! concurrent requests; only DTD registration needs `&mut`.  Decisions are stored and
 //! served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
 //! witness-document clone.
 
@@ -41,10 +45,10 @@ use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver};
-use xpsat_dtd::{normalize, parse_dtd, Dtd, DtdClass, Normalization};
+use xpsat_dtd::{normalize, parse_dtd, Dtd, Normalization};
 use xpsat_plan::{CanonicalQuery, CompileLimits, DecisionProgram};
 use xpsat_xpath::{parse_path, Path};
 
@@ -55,13 +59,24 @@ thread_local! {
 }
 
 /// Lock a mutex, recovering from poison.  Everything guarded this way (the served
-/// table, the decision store's stripes, residency slots) holds plain data whose every
-/// intermediate state is valid, so a panic while the lock was held — e.g. a
-/// panicking engine isolated by the server's `catch_unwind` — must not wedge the
-/// structure for every later request.
+/// table, the decision store's stripes, residency slots, the query table and the
+/// protocol's workspace) holds plain data whose every intermediate state is valid,
+/// so a panic while the lock was held — e.g. a panicking engine isolated by the
+/// server's `catch_unwind` — must not wedge the structure for every later request.
 pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// [`lock_recovering`] for the read side of a reader-writer lock.
+pub(crate) fn read_recovering<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// [`lock_recovering`] for the write side of a reader-writer lock.
+pub(crate) fn write_recovering<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -93,47 +108,84 @@ impl QueryId {
 /// Everything the service precomputes for a registered DTD, exactly once.
 #[derive(Debug)]
 pub struct DtdArtifacts {
-    /// The DTD itself.
-    pub dtd: Dtd,
     /// Canonical textual form (the dedup key; round-trips through the parser).
     pub canonical: String,
     /// Content address of this DTD: FNV-1a-64 of the canonical text, the key the
     /// on-disk store files artifact and program entries under.
     pub fingerprint: u64,
-    /// Structural classification (Section 6 regimes) — drives engine dispatch.
-    pub class: DtdClass,
     /// The normalisation `N(D)` of Proposition 3.3.
     pub normalization: Normalization,
-    /// The compiled solver artifacts: interned symbols, pruned DTD, dense DTD graph
-    /// with reachability closure, and the Glushkov automaton of every content model.
-    /// Handed to [`xpsat_core::Solver::decide_budgeted`] on every decision so the
-    /// engines never recompute per-DTD structure.
+    /// The compiled solver artifacts: the DTD itself and its structural
+    /// classification (Section 6 regimes, which drive engine dispatch), interned
+    /// symbols, pruned DTD, dense DTD graph with reachability closure, and the
+    /// Glushkov automaton of every content model.  Handed to
+    /// [`xpsat_core::Solver::decide_budgeted`] on every decision so the engines never
+    /// recompute per-DTD structure.
     pub compiled: xpsat_dtd::DtdArtifacts,
 }
 
-/// An interned query: its canonical rendering and its *structural* canonical form
-/// under the plan compiler's rewrites.
+/// A structural equivalence class of queries under the plan compiler's rewrites,
+/// stored once and shared by every spelling interned into it.
 #[derive(Debug)]
-pub struct InternedQuery {
-    /// Canonical textual form (the dedup key; `Display` round-trips through the
-    /// parser, so two queries intern to the same id iff they print identically).
-    pub canonical: String,
+pub struct QueryClass {
+    /// Id of the class representative — the first interned member.  The served-class
+    /// table keys on it, so every spelling of an instance is decided at most once.
+    pub rep: QueryId,
     /// Structurally canonical path: qualifier conjuncts sorted, unions flattened and
     /// deduplicated, trivial filters dropped ([`xpsat_plan::canonicalize`]).
     /// Equivalent spellings — `a[b and c]` vs `a[c][b]` — share this form.
-    pub canon_path: Path,
-    /// `Display` text of [`InternedQuery::canon_path`]; the cross-spelling (and
-    /// cross-tenant) cache key.
-    pub canon_text: String,
-    /// FNV-1a-64 of [`InternedQuery::canon_text`].
+    pub path: Path,
+    /// `Display` text of [`QueryClass::path`]; the cross-spelling (and cross-tenant)
+    /// cache key.
+    pub text: String,
+    /// FNV-1a-64 of [`QueryClass::text`].
     pub canonical_hash: u64,
     /// Label-erased structural-shape hash (spellings that differ only in element
     /// names collide here by design; used for workload fleet analytics).
     pub structural_hash: u64,
-    /// Id of this query's structural equivalence class representative — the first
-    /// interned member with the same canonical form.  The served-class table keys
-    /// on it, so every spelling of an instance is decided at most once.
-    pub rep: QueryId,
+}
+
+/// An interned query: its canonical rendering and its structural class.
+#[derive(Debug, Clone)]
+pub struct InternedQuery {
+    /// Canonical textual form (the dedup key; `Display` round-trips through the
+    /// parser, so two queries intern to the same id iff they print identically).
+    pub canonical: String,
+    /// The query's structural equivalence class.
+    pub class: Arc<QueryClass>,
+}
+
+/// What the query table holds under one text: a caller's spelling, a class's
+/// canonical text, or both (when a spelling is already canonical).
+#[derive(Debug, Default)]
+struct TextEntry {
+    /// The id of the query that prints as this text.
+    spelling: Option<QueryId>,
+    /// The class whose canonical text this is.
+    class: Option<Arc<QueryClass>>,
+}
+
+/// The query interner: every interned query by id, and one map from text to what
+/// the text names.
+#[derive(Debug, Default)]
+struct QueryTable {
+    queries: Vec<InternedQuery>,
+    by_text: HashMap<String, TextEntry>,
+}
+
+impl QueryTable {
+    /// The interned query of a spelling, if any.
+    fn spelling(&self, canonical: &str) -> Option<QueryId> {
+        self.by_text.get(canonical).and_then(|entry| entry.spelling)
+    }
+
+    /// The class of an interned query.
+    fn class(&self, id: QueryId) -> Result<&Arc<QueryClass>, ServiceError> {
+        self.queries
+            .get(id.0)
+            .map(|query| &query.class)
+            .ok_or(ServiceError::UnknownQuery(id.0))
+    }
 }
 
 /// A decision together with its cache provenance.
@@ -147,9 +199,9 @@ pub struct ServedDecision {
     pub cached: bool,
 }
 
-/// A batch class that missed [`Workspace::lookup`]: its representative, its store
-/// entry and the batch slot its decision goes to.
-type BatchMiss<'a> = (QueryId, Arc<StoreEntry>, &'a OnceLock<Arc<Decision>>);
+/// A batch class that missed [`Workspace::lookup`]: the class, its store entry and
+/// the batch slot its decision goes to.
+type BatchMiss<'a> = (&'a QueryClass, Arc<StoreEntry>, &'a OnceLock<Arc<Decision>>);
 
 /// What [`Workspace::lookup`] found for a class.
 enum Lookup {
@@ -250,11 +302,10 @@ pub struct Workspace {
     solver: Solver,
     dtds: Vec<DtdSlot>,
     dtd_by_canonical: HashMap<String, DtdId>,
-    queries: Vec<InternedQuery>,
-    query_by_canonical: HashMap<String, QueryId>,
-    /// Structural-class representatives: canonical (plan) text → the first interned
-    /// member.  Later spellings intern to fresh ids but share the representative.
-    query_by_canon_text: HashMap<String, QueryId>,
+    /// The query interner, behind its own lock so interning takes `&self`.  It is
+    /// never held while canonicalising or deciding, and an intern leaves it valid at
+    /// every step (a query is pushed before its spelling names it).
+    queries: RwLock<QueryTable>,
     /// The decision store: every class's decision and program (private unless
     /// shared through [`Workspace::with_canonical_cache`]).
     canonical: Arc<CanonicalCache>,
@@ -388,14 +439,11 @@ impl Workspace {
         // (automata, useful-state masks, generator) now so no decision — and no batch
         // worker — ever pays first-touch latency or contends on a OnceLock.
         compiled.warm();
-        let class = compiled.class().clone();
         CacheStats::add(&self.stats.automata_built, compiled.automata_count() as u64);
         let fingerprint = crate::store::canonical_key(&canonical);
         let artifacts = Arc::new(DtdArtifacts {
-            dtd,
             canonical,
             fingerprint,
-            class,
             normalization,
             compiled,
         });
@@ -487,7 +535,7 @@ impl Workspace {
     // ---- query interner --------------------------------------------------------
 
     /// Intern a query from its textual form; equal canonical renderings share an id.
-    pub fn intern(&mut self, text: &str) -> Result<QueryId, ServiceError> {
+    pub fn intern(&self, text: &str) -> Result<QueryId, ServiceError> {
         let path = parse_path(text).map_err(|e| ServiceError::QueryParse {
             message: e.message.clone(),
             span: (e.span.offset, e.span.len),
@@ -497,43 +545,59 @@ impl Workspace {
 
     /// Intern an already-parsed query.  Queries with the same `Display` rendering
     /// share an id; queries with the same *structural* canonical form additionally
-    /// share a class representative, and through it one decision and one compiled
+    /// share a class, and through its representative one decision and one compiled
     /// program.
-    pub fn intern_path(&mut self, path: Path) -> QueryId {
+    ///
+    /// The table is probed under its read lock and the query canonicalised with no
+    /// lock held; only a first-seen spelling takes the write lock, re-probing under
+    /// it so a racing intern of the same text is counted as a reuse.
+    pub fn intern_path(&self, path: Path) -> QueryId {
         let canonical = path.to_string();
-        if let Some(&id) = self.query_by_canonical.get(&canonical) {
+        if let Some(id) = read_recovering(&self.queries).spelling(&canonical) {
+            CacheStats::bump(&self.stats.queries_reused);
+            return id;
+        }
+        let canon = CanonicalQuery::of(&path);
+        let mut table = write_recovering(&self.queries);
+        if let Some(id) = table.spelling(&canonical) {
             CacheStats::bump(&self.stats.queries_reused);
             return id;
         }
         CacheStats::bump(&self.stats.queries_interned);
-        let id = QueryId(self.queries.len());
-        let canon = CanonicalQuery::of(&path);
-        let rep = *self
-            .query_by_canon_text
-            .entry(canon.text.clone())
-            .or_insert(id);
-        self.queries.push(InternedQuery {
+        let id = QueryId(table.queries.len());
+        // The first member interned into a class is its representative; later
+        // spellings get fresh ids but share the class.
+        let class = Arc::clone(
+            table
+                .by_text
+                .entry(canon.text.clone())
+                .or_default()
+                .class
+                .get_or_insert_with(|| {
+                    Arc::new(QueryClass {
+                        rep: id,
+                        path: canon.path,
+                        text: canon.text,
+                        canonical_hash: canon.canonical_hash,
+                        structural_hash: canon.structural_hash,
+                    })
+                }),
+        );
+        table.queries.push(InternedQuery {
             canonical: canonical.clone(),
-            canon_path: canon.path,
-            canon_text: canon.text,
-            canonical_hash: canon.canonical_hash,
-            structural_hash: canon.structural_hash,
-            rep,
+            class,
         });
-        self.query_by_canonical.insert(canonical, id);
+        table.by_text.entry(canonical).or_default().spelling = Some(id);
         id
     }
 
     /// The interned form of a query id.
-    pub fn query(&self, id: QueryId) -> Result<&InternedQuery, ServiceError> {
-        self.queries
+    pub fn query(&self, id: QueryId) -> Result<InternedQuery, ServiceError> {
+        read_recovering(&self.queries)
+            .queries
             .get(id.0)
+            .cloned()
             .ok_or(ServiceError::UnknownQuery(id.0))
-    }
-
-    /// Number of interned (distinct) queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
     }
 
     // ---- deciding --------------------------------------------------------------
@@ -543,28 +607,14 @@ impl Workspace {
     // `compute_and_publish` decides it and publishes the result.
 
     /// Decide one `(dtd, query)` instance without a budget, serving from the decision
-    /// store when the query's structural class has been decided before.
+    /// store when the query's structural class has been decided before: a
+    /// one-query [`Workspace::decide_batch`].  When both ids are unknown the error is
+    /// [`ServiceError::UnknownDtd`].
     pub fn decide(&self, dtd: DtdId, query: QueryId) -> Result<ServedDecision, ServiceError> {
-        let rep = self.query(query)?.rep;
-        Ok(match self.lookup(dtd, rep)? {
-            Lookup::Hit(decision) => ServedDecision {
-                decision,
-                cached: true,
-            },
-            Lookup::Miss(entry) => {
-                let artifacts = self.artifacts(dtd)?;
-                ServedDecision {
-                    decision: self.compute_and_publish(
-                        dtd,
-                        rep,
-                        &entry,
-                        &artifacts,
-                        &Budget::unlimited(),
-                    ),
-                    cached: false,
-                }
-            }
-        })
+        Ok(self
+            .decide_batch(dtd, &[query], 1, None, None)?
+            .pop()
+            .expect("one decision per query"))
     }
 
     /// Decide many queries against one registered DTD.  `results[i]` always
@@ -573,8 +623,9 @@ impl Workspace {
     /// (except that a budget-exhausted class runs once per batch and its repeats
     /// share that run).
     ///
-    /// The batch is deduplicated to structural classes and every class is looked up
-    /// inline; only the misses are computed, on up to `threads` workers.  A batch
+    /// The batch reads the classes of all its queries in one acquisition of the
+    /// query table, is deduplicated to structural classes and every class is looked
+    /// up inline; only the misses are computed, on up to `threads` workers.  A batch
     /// without misses spawns no thread.
     ///
     /// * `max_steps` — per-*decision* step fuel (unlimited when `None`).  A decision that spends it comes back `Unknown` with
@@ -594,21 +645,26 @@ impl Workspace {
         max_steps: Option<u64>,
     ) -> Result<Vec<ServedDecision>, ServiceError> {
         self.check_dtd(dtd)?;
-        let mut reps = Vec::with_capacity(queries.len());
-        for &q in queries {
-            reps.push(self.query(q)?.rep);
-        }
+        let classes = {
+            let table = read_recovering(&self.queries);
+            queries
+                .iter()
+                .map(|&q| table.class(q).cloned())
+                .collect::<Result<Vec<_>, _>>()?
+        };
         // Every spelling of a structural class is one unit of work.
-        reps.sort_unstable();
-        reps.dedup();
-        let decided: Vec<OnceLock<Arc<Decision>>> = reps.iter().map(|_| OnceLock::new()).collect();
+        let mut unique: Vec<&QueryClass> = classes.iter().map(|class| &**class).collect();
+        unique.sort_unstable_by_key(|class| class.rep);
+        unique.dedup_by_key(|class| class.rep);
+        let decided: Vec<OnceLock<Arc<Decision>>> =
+            unique.iter().map(|_| OnceLock::new()).collect();
         let mut misses = Vec::new();
-        for (&rep, slot) in reps.iter().zip(&decided) {
-            match self.lookup(dtd, rep)? {
+        for (&class, slot) in unique.iter().zip(&decided) {
+            match self.lookup(dtd, class) {
                 Lookup::Hit(decision) => {
                     let _ = slot.set(decision);
                 }
-                Lookup::Miss(entry) => misses.push((rep, entry, slot)),
+                Lookup::Miss(entry) => misses.push((class, entry, slot)),
             }
         }
         if !misses.is_empty() {
@@ -626,19 +682,19 @@ impl Workspace {
         // The first query of a missed class is served as computed; the first query
         // of any other class was counted by its lookup, and every repeat is a local
         // hit — exactly what a sequential decide loop sees.
-        let mut repeat = vec![false; reps.len()];
-        let out = queries
+        let mut repeat = vec![false; unique.len()];
+        let out = classes
             .iter()
-            .map(|&q| {
-                let i = reps
-                    .binary_search(&self.queries[q.0].rep)
+            .map(|class| {
+                let i = unique
+                    .binary_search_by_key(&class.rep, |class| class.rep)
                     .expect("every query's class is in the batch");
                 let again = std::mem::replace(&mut repeat[i], true);
                 if again {
                     CacheStats::bump(&self.stats.decision_cache_hits);
                 }
                 let computed = misses
-                    .binary_search_by_key(&reps[i], |&(rep, ..)| rep)
+                    .binary_search_by_key(&class.rep, |(class, ..)| class.rep)
                     .is_ok();
                 ServedDecision {
                     decision: Arc::clone(decided[i].get().expect("every class was decided")),
@@ -658,14 +714,10 @@ impl Workspace {
         }
     }
 
-    /// The decision-store entry of a class representative against a registered DTD.
-    fn class_entry(&self, dtd: DtdId, rep: QueryId) -> Arc<StoreEntry> {
-        let query = &self.queries[rep.0];
-        self.canonical.entry(
-            self.dtds[dtd.0].key,
-            query.canonical_hash,
-            &query.canon_text,
-        )
+    /// The decision-store entry of a class against a registered DTD.
+    fn class_entry(&self, dtd: DtdId, class: &QueryClass) -> Arc<StoreEntry> {
+        self.canonical
+            .entry(self.dtds[dtd.0].key, class.canonical_hash, &class.text)
     }
 
     /// Remember that this workspace has been served a decided class.
@@ -675,30 +727,29 @@ impl Workspace {
             .or_insert_with(|| Arc::clone(entry));
     }
 
-    /// Probe the served-class table, then the decision store, for a class
-    /// representative, counting the hit: a class this workspace was served before
-    /// is a `decision_cache_hits` hit, one decided elsewhere a `canonical_hits` hit.
+    /// Probe the served-class table, then the decision store, for a class of a
+    /// registered DTD, counting the hit: a class this workspace was served before is a
+    /// `decision_cache_hits` hit, one decided elsewhere a `canonical_hits` hit.
     /// Neither probe touches the DTD's artifacts, so an evicted DTD's decided
     /// classes are served without rematerialising it.
-    fn lookup(&self, dtd: DtdId, rep: QueryId) -> Result<Lookup, ServiceError> {
-        self.check_dtd(dtd)?;
+    fn lookup(&self, dtd: DtdId, class: &QueryClass) -> Lookup {
         let served = lock_recovering(&self.served)
-            .get(&(dtd, rep))
+            .get(&(dtd, class.rep))
             .and_then(|entry| entry.decision.get().cloned());
         if let Some(hit) = served {
             CacheStats::bump(&self.stats.decision_cache_hits);
-            return Ok(Lookup::Hit(hit));
+            return Lookup::Hit(hit);
         }
-        let entry = self.class_entry(dtd, rep);
+        let entry = self.class_entry(dtd, class);
         let Some(hit) = entry.decision.get().cloned() else {
-            return Ok(Lookup::Miss(entry));
+            return Lookup::Miss(entry);
         };
         CacheStats::bump(&self.stats.canonical_hits);
-        self.serve(dtd, rep, &entry);
-        Ok(Lookup::Hit(hit))
+        self.serve(dtd, class.rep, &entry);
+        Lookup::Hit(hit)
     }
 
-    /// Decide a class representative that missed [`Workspace::lookup`]: replay its
+    /// Decide a class that missed [`Workspace::lookup`]: replay its
     /// compiled program in the VM when the class is inside the compiled fragment,
     /// else run the AST solver on the canonical path (so engine dispatch, like the
     /// store, sees one spelling per class).  The decision is published to the store
@@ -708,13 +759,12 @@ impl Workspace {
     fn compute_and_publish(
         &self,
         dtd: DtdId,
-        rep: QueryId,
+        class: &QueryClass,
         entry: &Arc<StoreEntry>,
         artifacts: &DtdArtifacts,
         budget: &Budget,
     ) -> Arc<Decision> {
-        let query = &self.queries[rep.0];
-        let program = self.program_for(entry, query, artifacts);
+        let program = self.program_for(entry, class, artifacts);
         let replayed = program.and_then(|program| {
             let replayed = VM_SCRATCH.with(|cell| {
                 xpsat_plan::vm::decide(
@@ -735,7 +785,7 @@ impl Workspace {
         });
         let decision = replayed.unwrap_or_else(|| {
             self.solver
-                .decide_budgeted(&artifacts.compiled, &query.canon_path, budget)
+                .decide_budgeted(&artifacts.compiled, &class.path, budget)
         });
         CacheStats::bump(&self.stats.decisions_computed);
         if decision.exhausted.is_some() {
@@ -743,7 +793,7 @@ impl Workspace {
             return Arc::new(decision);
         }
         let stored = Arc::clone(entry.decision.get_or_init(|| Arc::new(decision)));
-        self.serve(dtd, rep, entry);
+        self.serve(dtd, class.rep, entry);
         stored
     }
 
@@ -767,11 +817,11 @@ impl Workspace {
                     expired.store(true, Ordering::Relaxed);
                     break;
                 }
-                let Some((rep, entry, slot)) = misses.get(next.fetch_add(1, Ordering::Relaxed))
+                let Some((class, entry, slot)) = misses.get(next.fetch_add(1, Ordering::Relaxed))
                 else {
                     break;
                 };
-                let decision = self.compute_and_publish(dtd, *rep, entry, artifacts, budget);
+                let decision = self.compute_and_publish(dtd, class, entry, artifacts, budget);
                 // A deadline interruption mid-decision aborts the batch like the
                 // between-classes check does; a spent step allowance is a result.
                 if decision.exhausted == Some(Exhausted::Deadline) {
@@ -816,12 +866,12 @@ impl Workspace {
     fn program_for(
         &self,
         entry: &StoreEntry,
-        query: &InternedQuery,
+        class: &QueryClass,
         artifacts: &DtdArtifacts,
     ) -> Option<Arc<DecisionProgram>> {
         let program = entry
             .program
-            .get_or_init(|| self.resolve_program(query, artifacts))
+            .get_or_init(|| self.resolve_program(class, artifacts))
             .clone()?;
         let uid = artifacts.compiled.uid();
         if program.dtd_uid == uid {
@@ -842,14 +892,14 @@ impl Workspace {
     /// [`xpsat_plan::BailReason`].
     fn resolve_program(
         &self,
-        query: &InternedQuery,
+        class: &QueryClass,
         artifacts: &DtdArtifacts,
     ) -> Option<Arc<DecisionProgram>> {
         if let Some(store) = &self.store {
             match store.load_program(
                 artifacts.fingerprint,
-                query.canonical_hash,
-                &query.canon_text,
+                class.canonical_hash,
+                &class.text,
                 &artifacts.compiled,
             ) {
                 Ok(rehydrated) => {
@@ -869,7 +919,7 @@ impl Workspace {
         }
         match xpsat_plan::compile_with_reason(
             &artifacts.compiled,
-            &query.canon_path,
+            &class.path,
             &CompileLimits::default(),
         ) {
             Ok(compiled) => {
@@ -878,8 +928,8 @@ impl Workspace {
                     if store
                         .save_program(
                             artifacts.fingerprint,
-                            query.canonical_hash,
-                            &query.canon_text,
+                            class.canonical_hash,
+                            &class.text,
                             &compiled,
                         )
                         .is_ok()
@@ -906,10 +956,10 @@ impl Workspace {
         dtd: DtdId,
         query: QueryId,
     ) -> Result<Option<Arc<DecisionProgram>>, ServiceError> {
-        let rep = self.query(query)?.rep;
+        let class = read_recovering(&self.queries).class(query)?.clone();
         let artifacts = self.artifacts(dtd)?;
-        let entry = self.class_entry(dtd, rep);
-        Ok(self.program_for(&entry, &self.queries[rep.0], &artifacts))
+        let entry = self.class_entry(dtd, &class);
+        Ok(self.program_for(&entry, &class, &artifacts))
     }
 
     /// Current counter values (including the resident-artifact gauge).

@@ -349,7 +349,9 @@ fn canonical_hashes_do_not_collide_across_classes() {
     // Probe the 64-bit canonical hash over every query this harness generates:
     // distinct canonical forms must get distinct hashes (FNV-1a collisions at this
     // scale would make hash-keyed sweeps unsound in practice), and equal hashes
-    // must therefore always mean one decision.
+    // must therefore always mean one decision.  The sweep also checks that a class's
+    // canonical text names the class: the canonicaliser is idempotent on its own
+    // output, and the text re-parses into the same class.
     let mut seen: HashMap<u64, String> = HashMap::new();
     let mut classes = 0usize;
     for dtd in corpus() {
@@ -358,6 +360,13 @@ fn canonical_hashes_do_not_collide_across_classes() {
         for _ in 0..80 {
             let query = random_mixed_query(&mut rng, &labels, 3);
             let canon = CanonicalQuery::of(&query);
+            assert_eq!(
+                CanonicalQuery::of(&canon.path).text,
+                canon.text,
+                "`{query}`"
+            );
+            let reparsed = xpsat_xpath::parse_path(&canon.text).expect("canonical text parses");
+            assert_eq!(CanonicalQuery::of(&reparsed).text, canon.text, "`{query}`");
             match seen.insert(canon.canonical_hash, canon.text.clone()) {
                 None => classes += 1,
                 Some(previous) => assert_eq!(
