@@ -6,14 +6,18 @@
 //! a single flooding tenant could occupy every worker and starve the rest.  This
 //! module moves the dispatch unit from the connection to the *request*:
 //!
-//! * Every admitted request becomes a [`Job`] in its tenant's **sub-queue**; decide
-//!   workers pull jobs by **deficit round-robin** (each visit grants a tenant
-//!   `quantum × weight` cost credits), so a tenant with 50 queued batches and a
-//!   tenant with one queued check alternate at their weight ratio instead of FIFO
-//!   order.
+//! * Every request passes one admission ([`FairScheduler::admit`]), which holds its
+//!   cost in flight.  A request the connection thread can answer itself (its
+//!   classes are all decided) returns the cost when answered
+//!   ([`FairScheduler::complete_inline`]).  Every other request becomes a [`Job`] in
+//!   its tenant's **sub-queue** ([`FairScheduler::enqueue`]); decide workers pull
+//!   jobs by **deficit round-robin** (each visit grants a tenant `quantum × weight`
+//!   cost credits), so a tenant with 50 queued batches and a tenant with one queued
+//!   check alternate at their weight ratio instead of FIFO order.
 //! * Admission is per-tenant first: a **token bucket** (rate + burst) and an
-//!   **in-flight quota** (queued + executing cost) refuse the flooding tenant with
-//!   `overloaded` while other tenants' admission is untouched.
+//!   **in-flight quota** (queued + executing cost, inline answers included) refuse
+//!   the flooding tenant with `overloaded` while other tenants' admission is
+//!   untouched.
 //! * When the global queue is full, the scheduler **sheds from the largest queue**
 //!   (newest job of the most-backlogged tenant) instead of tail-dropping whoever
 //!   arrived last — the victim of overload is the tenant causing it.
@@ -307,40 +311,68 @@ impl FairScheduler {
     }
 
     /// Admit a job into its tenant's sub-queue, or hand it back with the refusal
-    /// reason.  May shed a *different* tenant's newest job to make room when the
-    /// global queue is full and the submitter is not the largest backlog.
+    /// reason: [`FairScheduler::admit`], then [`FairScheduler::enqueue`].
     pub fn submit(&self, job: Job) -> Result<(), (Job, Refusal)> {
+        if let Err(refusal) = self.admit(job.tenant.name(), job.cost) {
+            return Err((job, refusal));
+        }
+        self.enqueue(job)
+    }
+
+    /// Admit a request of `cost` for `tenant` and hold its cost in flight, or say why
+    /// not.  Every request passes these checks, in order: drain, the tenant's
+    /// in-flight quota, the global in-flight bound, the tenant's token bucket.  The
+    /// holder then either answers the request itself and returns the cost with
+    /// [`FairScheduler::complete_inline`], or queues it with
+    /// [`FairScheduler::enqueue`].
+    pub fn admit(&self, tenant: &str, cost: u64) -> Result<(), Refusal> {
         let now = Instant::now();
-        let name = job.tenant.name().to_string();
         let mut inner = self.lock();
         if inner.draining {
-            return Err((job, Refusal::Draining));
+            return Err(Refusal::Draining);
         }
-        if !inner.lanes.contains_key(&name) {
-            let weight = self.config.weights.get(&name).copied().unwrap_or(1);
+        if !inner.lanes.contains_key(tenant) {
+            let weight = self.config.weights.get(tenant).copied().unwrap_or(1);
             let lane = Lane::new(weight, &self.config, now);
-            inner.lanes.insert(name.clone(), lane);
+            inner.lanes.insert(tenant.to_string(), lane);
         }
 
         // Per-tenant quota first: the refusal only ever hits the tenant itself.
-        let lane = inner.lanes.get_mut(&name).expect("lane just ensured");
+        let lane = inner.lanes.get_mut(tenant).expect("lane just ensured");
         if let Some(quota) = self.config.tenant_quota {
-            if lane.queued_cost + lane.inflight_cost + job.cost > quota {
+            if lane.queued_cost + lane.inflight_cost + cost > quota {
                 lane.over_quota += 1;
-                return Err((job, Refusal::OverQuota));
+                return Err(Refusal::OverQuota);
             }
         }
         // Global admitted-cost bound (the old in-flight gate, still a backstop).
-        if inner.queued_cost + inner.inflight_cost + job.cost > self.config.max_inflight {
-            return Err((job, Refusal::Saturated));
+        if inner.queued_cost + inner.inflight_cost + cost > self.config.max_inflight {
+            return Err(Refusal::Saturated);
         }
         // Token bucket last, so a refusal above never burns this tenant's tokens.
-        let lane = inner.lanes.get_mut(&name).expect("lane exists");
+        let lane = inner.lanes.get_mut(tenant).expect("lane exists");
         if let Some(bucket) = &mut lane.bucket {
-            if !bucket.try_charge(job.cost as f64, now) {
+            if !bucket.try_charge(cost as f64, now) {
                 lane.rate_limited += 1;
-                return Err((job, Refusal::RateLimited));
+                return Err(Refusal::RateLimited);
             }
+        }
+        lane.inflight_cost += cost;
+        inner.inflight_cost += cost;
+        Ok(())
+    }
+
+    /// Queue a job whose cost [`FairScheduler::admit`] holds, turning the hold into
+    /// queued cost; on a refusal the hold is returned and the job handed back.  May
+    /// shed a *different* tenant's newest job to make room when the global queue is
+    /// full and the submitter is not the largest backlog.
+    pub fn enqueue(&self, job: Job) -> Result<(), (Job, Refusal)> {
+        let name = job.tenant.name().to_string();
+        let mut inner = self.lock();
+        Self::release(&mut inner, &name, job.cost);
+        // Drain may have begun since admission; the decide pool may be gone.
+        if inner.draining {
+            return Err((job, Refusal::Draining));
         }
 
         // Queue-full: shed the newest job of the most-backlogged tenant instead of
@@ -376,7 +408,7 @@ impl FairScheduler {
         }
 
         let cost = job.cost;
-        let lane = inner.lanes.get_mut(&name).expect("lane exists");
+        let lane = inner.lanes.get_mut(&name).expect("admission made the lane");
         let was_empty = lane.jobs.is_empty();
         lane.jobs.push_back(job);
         lane.queued_cost += cost;
@@ -491,7 +523,20 @@ impl FairScheduler {
     /// Return a finished job's cost to the tenant's and the global in-flight
     /// accounts.
     pub fn complete(&self, tenant: &str, cost: u64) {
+        Self::release(&mut self.lock(), tenant, cost);
+    }
+
+    /// Return the cost of a request that [`FairScheduler::admit`] held and the
+    /// caller answered on its own thread, counting it served in the tenant's lane.
+    pub fn complete_inline(&self, tenant: &str, cost: u64) {
         let mut inner = self.lock();
+        Self::release(&mut inner, tenant, cost);
+        if let Some(lane) = inner.lanes.get_mut(tenant) {
+            lane.served += 1;
+        }
+    }
+
+    fn release(inner: &mut Inner, tenant: &str, cost: u64) {
         if let Some(lane) = inner.lanes.get_mut(tenant) {
             lane.inflight_cost = lane.inflight_cost.saturating_sub(cost);
         }
@@ -713,6 +758,27 @@ mod tests {
         sched.submit(job(&map, "a", 2)).unwrap();
         // Another tenant was never affected.
         sched.submit(job(&map, "b", 2)).unwrap();
+    }
+
+    #[test]
+    fn admitted_cost_is_held_until_answered_inline_or_queued() {
+        let (sched, map) = scheduler(FairConfig {
+            tenant_quota: Some(3),
+            shed_target: None,
+            ..FairConfig::default()
+        });
+        // The hold counts against the quota like queued or executing cost.
+        sched.admit("a", 2).unwrap();
+        assert_eq!(sched.admit("a", 2).unwrap_err(), Refusal::OverQuota);
+        assert_eq!(sched.totals().inflight_cost, 2);
+        sched.complete_inline("a", 2);
+        let lane = &sched.lane_snapshots()[0];
+        assert_eq!((lane.served, lane.inflight_cost), (1, 0));
+        // A held request queued for a worker turns its hold into queued cost.
+        sched.admit("a", 3).unwrap();
+        sched.enqueue(job(&map, "a", 3)).unwrap();
+        let totals = sched.totals();
+        assert_eq!((totals.queued_cost, totals.inflight_cost), (3, 0));
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub struct ServerConfig {
     /// Listen address.
     pub bind: Bind,
     /// Connection threads (each owns one connection at a time, doing framing and
-    /// admission, never decide work); `0` means [`default_workers`].
+    /// admission, and answering requests whose classes are all decided; anything
+    /// that needs compute goes to the decide pool); `0` means [`default_workers`].
     pub workers: usize,
     /// Bound on connections waiting for a free connection thread; connections
     /// arriving beyond it are answered with an `overloaded` error and closed.

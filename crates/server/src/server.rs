@@ -11,15 +11,21 @@
 //!   backpressure and lifecycle as data, not as a hung connect.
 //! * **Connection threads** (`workers` of them) each pop a connection and own it
 //!   until it disconnects: framing ([`LineReader`], size caps, the slow-loris
-//!   mid-line stall guard), parsing, tenant resolution and admission.  They do *no*
-//!   decide work: an admitted request becomes a [`Job`] submitted to the
-//!   [`FairScheduler`] and the connection thread blocks on the job's
-//!   [`ResponseSlot`].
+//!   mid-line stall guard), parsing, tenant resolution and admission through the
+//!   [`FairScheduler`], which holds the request's cost in flight.  A `check` or
+//!   `batch` whose every class is already decided for the tenant needs no compute:
+//!   the connection thread answers it itself, under `catch_unwind`, with one probe
+//!   of the decision store per class
+//!   ([`xpsat_service::ProtocolServer::handle_decided`]).  Any other request becomes
+//!   a [`Job`] queued in the scheduler, and the connection thread blocks on the
+//!   job's [`ResponseSlot`].
 //! * **Decide workers** (`decide_workers` of them) pull jobs from the scheduler in
 //!   deficit-round-robin order across tenants — a flooding tenant's backlog cannot
 //!   starve anyone else — execute them under `catch_unwind`, and fulfill the slot.
-//!   Every admitted job is answered exactly once: by its worker, by the shedder,
-//!   or by the drain-abort path.
+//!   Every queued job is answered exactly once: by its worker, by the shedder, or
+//!   by the drain-abort path.  Every request that needs compute runs here: a
+//!   first-seen spelling or class, `register_dtd`, `classify`, `stats` and the
+//!   debug ops.
 //! * A **watchdog thread** samples each decide worker's [`WorkerHeart`]; a worker
 //!   stuck on one job past the threshold is abandoned (it exits after the job, its
 //!   late result discarded by the first-write-wins slot) and a replacement is
@@ -38,7 +44,7 @@ use crate::lifecycle::{Lifecycle, Phase, WorkerHeart};
 use crate::pool::{BoundedQueue, PushError};
 use crate::responses::{abandoned_response, overloaded_response, shutting_down_response};
 use crate::stats::{ServerStats, ServerStatsSnapshot};
-use crate::tenant::{TenantMap, DEFAULT_TENANT};
+use crate::tenant::{Tenant, TenantMap, DEFAULT_TENANT};
 use crate::{Bind, ServerConfig};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -331,20 +337,26 @@ fn decide_loop(shared: &Arc<Shared>, heart: &Arc<WorkerHeart>) {
     }
 }
 
-/// Run one job under panic isolation against its tenant's protocol server.
+/// Run one job against its tenant's protocol server, on a decide worker.
 fn execute_job(job: &Job, shared: &Shared) -> Json {
-    // Panic isolation: a request that panics (a solver bug, a hostile input that
-    // found a hole in the resource governor) answers `internal_error` and leaves the
-    // worker — and every other tenant — serving.  `handle_request` takes `&self`
-    // (the protocol server locks internally: only `register_dtd` takes its write
-    // lock), so jobs of one tenant execute concurrently across workers, a
-    // registration excepted; the internal locks recover from poisoning because
-    // tenant state is monotone (registrations and caches), so a panic mid-request
-    // cannot corrupt it.
-    let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        job.tenant.proto().handle_request(&job.request)
-    }))
-    .unwrap_or_else(|panic| {
+    // `handle_request` takes `&self` (the protocol server locks internally: only
+    // `register_dtd` takes its write lock), so jobs of one tenant execute
+    // concurrently across workers and with the requests connection threads answer
+    // inline, a registration excepted.
+    let response = isolate_panics(shared, || job.tenant.proto().handle_request(&job.request))
+        .unwrap_or_else(|internal_error| internal_error);
+    ServerStats::bump(&shared.stats.requests_served);
+    response
+}
+
+/// Run request handling under panic isolation: a request that panics (a solver bug,
+/// a hostile input that found a hole in the resource governor) yields its
+/// `internal_error` answer as `Err`, and leaves its thread — and every other
+/// tenant — serving.  The tenant's internal locks recover from poisoning because
+/// tenant state is monotone (registrations and caches), so a panic mid-request
+/// cannot corrupt it.
+fn isolate_panics<T>(shared: &Shared, handle: impl FnOnce() -> T) -> Result<T, Json> {
+    std::panic::catch_unwind(AssertUnwindSafe(handle)).map_err(|panic| {
         ServerStats::bump(&shared.stats.requests_panicked);
         let detail = panic
             .downcast_ref::<&str>()
@@ -357,9 +369,7 @@ fn execute_job(job: &Job, shared: &Shared) -> Json {
             None,
             false,
         )
-    });
-    ServerStats::bump(&shared.stats.requests_served);
-    response
+    })
 }
 
 /// The watchdog: sample every decide worker's heart; abandon + replace the stuck.
@@ -642,7 +652,8 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
             }
             Ok(LineRead::Line) => {
                 line_started = None;
-                let line = String::from_utf8_lossy(line_reader.line()).into_owned();
+                // Borrowed when valid UTF-8; only an invalid line is copied lossily.
+                let line = String::from_utf8_lossy(line_reader.line());
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -658,8 +669,9 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     }
 }
 
-/// Process one request line: parse, intercept lifecycle ops, resolve tenant,
-/// submit to the fair scheduler, wait for the answer.
+/// Process one request line: parse, intercept lifecycle ops, resolve tenant, admit
+/// through the fair scheduler, then answer inline or queue for the decide pool and
+/// wait for the answer.
 fn handle_request_line(line: &str, shared: &Arc<Shared>) -> Json {
     let request = match Json::parse(line.trim_end_matches(['\n', '\r'])) {
         Ok(request) => request,
@@ -715,17 +727,25 @@ fn handle_request_line(line: &str, shared: &Arc<Shared>) -> Json {
         .map(|qs| qs.len().max(1) as u64)
         .unwrap_or(1);
     let is_stats = op == Some("stats");
-    let slot = Arc::new(ResponseSlot::default());
-    let job = Job {
-        request,
-        tenant,
-        cost,
-        enqueued: Instant::now(),
-        slot: Arc::clone(&slot),
-    };
-    let mut response = match shared.scheduler.submit(job) {
-        Ok(()) => wait_for_slot(&slot, shared),
-        Err((_job, refusal)) => refusal_response(refusal, shared),
+    let mut response = match shared.scheduler.admit(tenant.name(), cost) {
+        Err(refusal) => refusal_response(refusal, shared),
+        Ok(()) => match answer_inline(&request, &tenant, cost, shared) {
+            Some(response) => response,
+            None => {
+                let slot = Arc::new(ResponseSlot::default());
+                let job = Job {
+                    request,
+                    tenant,
+                    cost,
+                    enqueued: Instant::now(),
+                    slot: Arc::clone(&slot),
+                };
+                match shared.scheduler.enqueue(job) {
+                    Ok(()) => wait_for_slot(&slot, shared),
+                    Err((_job, refusal)) => refusal_response(refusal, shared),
+                }
+            }
+        },
     };
 
     // `stats` responses additionally report the server-wide view.
@@ -733,6 +753,20 @@ fn handle_request_line(line: &str, shared: &Arc<Shared>) -> Json {
         append_server_stats(&mut response, &tenant_name, shared);
     }
     response
+}
+
+/// Answer an admitted request on the connection thread when it needs no compute:
+/// a `check` or `batch` whose every class is already decided for the tenant
+/// ([`xpsat_service::ProtocolServer::handle_decided`]).  Its held cost is returned
+/// once it is answered.  `None` means the request needs the decide pool; nothing
+/// was counted for it yet.
+fn answer_inline(request: &Json, tenant: &Tenant, cost: u64, shared: &Shared) -> Option<Json> {
+    let response =
+        isolate_panics(shared, || tenant.proto().handle_decided(request)).unwrap_or_else(Some)?;
+    shared.scheduler.complete_inline(tenant.name(), cost);
+    ServerStats::bump(&shared.stats.requests_served);
+    ServerStats::bump(&shared.stats.requests_inline);
+    Some(response)
 }
 
 /// Map an admission refusal to its response (and counters).
@@ -840,6 +874,10 @@ fn append_server_stats(response: &mut Json, tenant_name: &str, shared: &Shared) 
     push(
         "server_requests_served",
         Json::Num(server.requests_served as f64),
+    );
+    push(
+        "server_requests_inline",
+        Json::Num(server.requests_inline as f64),
     );
     push(
         "server_requests_overloaded",

@@ -10,6 +10,7 @@ pub struct ServerStats {
     pub(crate) connections_accepted: AtomicU64,
     pub(crate) connections_rejected: AtomicU64,
     pub(crate) requests_served: AtomicU64,
+    pub(crate) requests_inline: AtomicU64,
     pub(crate) requests_overloaded: AtomicU64,
     pub(crate) requests_rate_limited: AtomicU64,
     pub(crate) requests_malformed: AtomicU64,
@@ -29,6 +30,7 @@ impl ServerStats {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
             requests_served: self.requests_served.load(Ordering::Relaxed),
+            requests_inline: self.requests_inline.load(Ordering::Relaxed),
             requests_overloaded: self.requests_overloaded.load(Ordering::Relaxed),
             requests_rate_limited: self.requests_rate_limited.load(Ordering::Relaxed),
             requests_malformed: self.requests_malformed.load(Ordering::Relaxed),
@@ -49,6 +51,9 @@ pub struct ServerStatsSnapshot {
     pub connections_rejected: u64,
     /// Requests answered (any outcome other than overload/malformed/oversized).
     pub requests_served: u64,
+    /// The subset of `requests_served` answered on the connection thread without
+    /// the decide pool: `check`s and `batch`es whose classes were all decided.
+    pub requests_inline: u64,
     /// Requests refused at admission (rate limit, quota, global in-flight bound or
     /// a full request queue) — every one answered `overloaded`.
     pub requests_overloaded: u64,
@@ -69,12 +74,14 @@ impl std::fmt::Display for ServerStatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "connections: {} accepted, {} rejected, {} stalled; requests: {} served, \
-             {} overloaded ({} rate-limited), {} malformed, {} oversized, {} panicked",
+            "connections: {} accepted, {} rejected, {} stalled; requests: {} served \
+             ({} inline), {} overloaded ({} rate-limited), {} malformed, {} oversized, \
+             {} panicked",
             self.connections_accepted,
             self.connections_rejected,
             self.connections_stalled,
             self.requests_served,
+            self.requests_inline,
             self.requests_overloaded,
             self.requests_rate_limited,
             self.requests_malformed,

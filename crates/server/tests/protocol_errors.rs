@@ -6,7 +6,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use xpsat_server::{Bind, Server, ServerConfig};
-use xpsat_service::ProtocolServer;
+use xpsat_service::{Json, ProtocolServer};
 
 const MAX_LINE: usize = 256;
 const DTD: &str = "r -> a*; a -> b?; b -> #;";
@@ -145,6 +145,70 @@ fn error_paths_are_identical_over_stdio_and_tcp() {
     for response in [&stdio[9], &stdio[10], &stdio[11], &stdio[12], &stdio[13]] {
         assert!(response.contains(r#""ok":false"#), "{response}");
     }
+}
+
+/// The hit-path script: requests whose classes are already decided, which the TCP
+/// front-end answers on the connection thread, between first-seen ones that need the
+/// decide pool.  Closed by a `stats` that pins every workspace counter.
+fn hit_script() -> Vec<String> {
+    [
+        r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#,
+        r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#,
+        // A new spelling of a decided class, then the spelling again.
+        r#"{"op":"check","dtd_id":0,"query":"a[b][b]"}"#,
+        r#"{"op":"check","dtd_id":0,"query":"a[b][b]"}"#,
+        r#"{"op":"check","dtd_id":0,"query":"a[b]","witness":true}"#,
+        r#"{"op":"check","dtd_id":0,"query":"b/..","witness":true}"#,
+        r#"{"op":"check","dtd_id":0,"query":"b/..","witness":true}"#,
+        // Decided and first-seen classes in one batch, then an all-decided one.
+        r#"{"op":"batch","dtd_id":0,"queries":["a[b]","c","a/b","a[b][b]","c"],"threads":1}"#,
+        r#"{"op":"batch","dtd_id":0,"queries":["c","a[b]","c"],"threads":1,"witness":true}"#,
+        r#"{"op":"check","dtd_id":0,"query":"a[["}"#,
+        r#"{"op":"check","dtd_id":1,"query":"a[b]"}"#,
+        r#"{"op":"classify","dtd_id":0,"query":"a[b][b]"}"#,
+        r#"{"op":"check","dtd_id":0,"query":"a/b"}"#,
+        r#"{"op":"stats"}"#,
+    ]
+    .iter()
+    .map(|line| line.to_string())
+    .collect()
+}
+
+#[test]
+fn hit_paths_are_identical_over_stdio_and_tcp() {
+    let mut lines = vec![format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#)];
+    lines.extend(hit_script());
+    let stdio = run_over_stdio(&lines);
+    let tcp = run_over_tcp(&lines);
+    assert_eq!(stdio.len(), lines.len(), "one response per request (stdio)");
+    assert_eq!(tcp.len(), lines.len(), "one response per request (tcp)");
+    let (stats, requests) = lines.split_last().unwrap();
+    for ((request, a), b) in requests.iter().zip(&stdio).zip(&tcp) {
+        assert_eq!(a, b, "transports diverged on request: {request}");
+    }
+
+    // The closing `stats`: every workspace counter agrees; the server adds its own
+    // view (the `server_*` counters, the tenant and the scheduler lanes).
+    let parse = |line: &String| Json::parse(line).expect("stats parses");
+    let Json::Obj(mut served) = parse(&tcp[lines.len() - 1]) else {
+        panic!("stats is an object")
+    };
+    let inline = served
+        .iter()
+        .find(|(key, _)| key == "server_requests_inline")
+        .and_then(|(_, value)| value.as_u64());
+    served.retain(|(key, _)| {
+        !key.starts_with("server_")
+            && !matches!(key.as_str(), "tenant" | "tenants" | "tenant_lanes")
+    });
+    assert_eq!(
+        Json::Obj(served).to_string(),
+        parse(&stdio[lines.len() - 1]).to_string(),
+        "transports diverged on request: {stats}"
+    );
+    // The repeated checks, the repeated witness checks, the all-decided batch and
+    // the last check were answered on the connection thread.
+    assert_eq!(inline, Some(6));
 }
 
 #[test]

@@ -430,3 +430,78 @@ fn mid_line_stall_drops_the_connection() {
     assert_eq!(field(&check, "ok").as_bool(), Some(true));
     handle.shutdown();
 }
+
+#[test]
+fn decided_checks_do_not_wait_for_decide_capacity() {
+    let config = ServerConfig {
+        decide_workers: 1,
+        debug_ops: true,
+        shed_target_ms: None,
+        ..ServerConfig::default()
+    };
+    let (handle, addr) = start(config);
+    let mut client = Client::connect(&addr);
+    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
+    let first = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    assert_eq!(field(&first, "cached").as_bool(), Some(false));
+
+    // Park the only decide worker under another tenant, and wait until it runs.
+    let mut staller = Client::connect(&addr);
+    let stall_sent = std::time::Instant::now();
+    staller.send_raw(r#"{"op":"debug_stall","stall_ms":1500,"tenant":"staller"}"#);
+    loop {
+        let health = client.round_trip(r#"{"op":"health"}"#);
+        if field(&health, "inflight_cost").as_u64() == Some(1)
+            && field(&health, "queued_jobs").as_u64() == Some(0)
+        {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    // A decided class is answered on the connection thread, without waiting.
+    let asked = std::time::Instant::now();
+    let again = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    assert!(
+        asked.elapsed() < std::time::Duration::from_millis(300),
+        "a decided check waited {:?} for the stalled pool",
+        asked.elapsed()
+    );
+    assert_eq!(field(&again, "cached").as_bool(), Some(true));
+    assert_eq!(field(&again, "result").as_str(), Some("satisfiable"));
+
+    // A first-seen query needs the pool: it is answered only after the stall.
+    let fresh = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a/b"}"#);
+    assert_eq!(field(&fresh, "ok").as_bool(), Some(true));
+    assert!(stall_sent.elapsed() >= std::time::Duration::from_millis(1500));
+    let stalled = staller.recv();
+    assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
+    assert_eq!(handle.stats().requests_inline, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn decided_checks_pass_the_tenant_rate_limit() {
+    let config = ServerConfig {
+        tenant_rate_qps: Some(0.5),
+        tenant_burst: 2.0,
+        ..ServerConfig::default()
+    };
+    let (handle, addr) = start(config);
+    let mut client = Client::connect(&addr);
+    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
+    client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    // The bucket is empty: a repeated check, decided and answerable without the
+    // pool, is refused all the same.
+    let limited = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    let error = field(&limited, "error");
+    assert_eq!(field(error, "kind").as_str(), Some("overloaded"));
+    assert!(
+        field(error, "message").as_str().unwrap().contains("rate"),
+        "{limited}"
+    );
+    let stats = handle.stats();
+    assert_eq!(stats.requests_rate_limited, 1);
+    assert_eq!(stats.requests_inline, 0);
+    handle.shutdown();
+}

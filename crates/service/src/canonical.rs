@@ -107,8 +107,7 @@ impl CanonicalCache {
     /// text already holds the slot (a query-hash collision), the caller gets a fresh
     /// entry that only it holds.
     pub(crate) fn entry(&self, dtd: DtdKey, hash: u64, canon_text: &str) -> Arc<StoreEntry> {
-        let mixed = hash ^ (dtd.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut stripe = lock_recovering(&self.stripes[((mixed >> 32) as usize) & (STRIPES - 1)]);
+        let mut stripe = lock_recovering(self.stripe(dtd, hash));
         let entry = stripe
             .entry((dtd, hash))
             .or_insert_with(|| Arc::new(StoreEntry::new(canon_text)));
@@ -117,6 +116,20 @@ impl CanonicalCache {
         } else {
             Arc::new(StoreEntry::new(canon_text))
         }
+    }
+
+    /// The entry of a class if one exists, inserting nothing (a probe must not grow
+    /// the store).
+    pub(crate) fn get(&self, dtd: DtdKey, hash: u64, canon_text: &str) -> Option<Arc<StoreEntry>> {
+        lock_recovering(self.stripe(dtd, hash))
+            .get(&(dtd, hash))
+            .filter(|entry| entry.canon_text == canon_text)
+            .cloned()
+    }
+
+    fn stripe(&self, dtd: DtdKey, hash: u64) -> &Stripe {
+        let mixed = hash ^ (dtd.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.stripes[((mixed >> 32) as usize) & (STRIPES - 1)]
     }
 
     /// Number of classes in the store (sums the stripes; approximate under
@@ -164,6 +177,14 @@ mod tests {
         // a private one.
         assert!(cache.entry(dtd, 7, "a[c and b]").decision.get().is_none());
         assert!(cache.entry(dtd, 7, "a[b and c]").decision.get().is_some());
+        assert_eq!(cache.len(), 1);
+        // A probe finds only the exact text and inserts nothing.
+        assert!(Arc::ptr_eq(
+            &cache.get(dtd, 7, "a[b and c]").unwrap(),
+            &stored
+        ));
+        assert!(cache.get(dtd, 7, "a[c and b]").is_none());
+        assert!(cache.get(dtd, 8, "a[b and c]").is_none());
         assert_eq!(cache.len(), 1);
     }
 }

@@ -34,7 +34,8 @@
 
 use crate::json::Json;
 use crate::workspace::{
-    engine_slug, read_recovering, write_recovering, DtdId, ServedDecision, ServiceError, Workspace,
+    engine_slug, read_recovering, try_read_recovering, write_recovering, DtdId, ServedDecision,
+    ServiceError, Workspace,
 };
 use std::io::{BufRead, Write};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -160,11 +161,32 @@ impl ProtocolServer {
         }
     }
 
+    /// Answer a `check` or `batch` whose every query was asked before and whose every
+    /// class is already decided against its DTD: the response and the counters are
+    /// exactly those of [`ProtocolServer::handle_request`].  This is the seam a
+    /// caller uses to answer such requests on its own thread.
+    ///
+    /// `None` for anything else — another op, a malformed field, a first-seen
+    /// spelling, an undecided class, or a workspace that a `register_dtd` holds or
+    /// waits for.  A declined request has counted and inserted nothing, so the caller
+    /// hands it to [`ProtocolServer::handle_request`] unchanged.  Nothing reached from
+    /// here can intern, compile, run the VM or an engine, or register a DTD.
+    pub fn handle_decided(&self, request: &Json) -> Option<Json> {
+        validate_deadline_ms(request).ok()?;
+        let answer = match request.get("op").and_then(Json::as_str)? {
+            "check" => self.op_check(request, Reach::Decided),
+            "batch" => self.op_batch(request, Reach::Decided),
+            _ => return None,
+        };
+        answer.ok().flatten()
+    }
+
     /// Serve requests from `input` until EOF, writing responses to `output`.
     ///
-    /// Lines are read as raw bytes and converted lossily, so a stray non-UTF-8 byte
-    /// produces a per-line error response (the replacement character breaks the JSON
-    /// parse) instead of killing the loop; only genuine I/O failures abort.  Lines
+    /// Lines are read as raw bytes and borrowed as text when they are valid UTF-8; an
+    /// invalid line is converted lossily, so a stray non-UTF-8 byte produces a
+    /// per-line error response (the replacement character breaks the JSON parse)
+    /// instead of killing the loop; only genuine I/O failures abort.  Lines
     /// longer than [`ProtocolServer::max_line_bytes`] are rejected with an error
     /// response without ever being buffered in full.
     pub fn serve(&self, mut input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
@@ -175,7 +197,7 @@ impl ProtocolServer {
                 LineRead::Eof => return Ok(()),
                 LineRead::Oversized => oversized_response(self.max_line_bytes),
                 LineRead::Line => {
-                    let line = String::from_utf8_lossy(reader.line()).into_owned();
+                    let line = String::from_utf8_lossy(reader.line());
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -195,8 +217,8 @@ impl ProtocolServer {
         validate_deadline_ms(request)?;
         match op {
             "register_dtd" => self.op_register_dtd(request),
-            "check" => self.op_check(request),
-            "batch" => self.op_batch(request),
+            "check" => self.op_check(request, Reach::Compute).map(computed),
+            "batch" => self.op_batch(request, Reach::Compute).map(computed),
             "classify" => self.op_classify(request),
             "stats" => Ok(self.op_stats()),
             "debug_panic" if self.debug_ops => {
@@ -262,23 +284,17 @@ impl ProtocolServer {
             .or(self.default_max_steps)
     }
 
-    fn op_check(&self, request: &Json) -> Result<Json, ProtocolError> {
+    fn op_check(&self, request: &Json, reach: Reach) -> Result<Option<Json>, ProtocolError> {
         let dtd = dtd_id_field(request)?;
         let text = str_field(request, "query")?;
         let with_witness = request
             .get("witness")
             .and_then(Json::as_bool)
             .unwrap_or(false);
-        let deadline = self.deadline_of(request);
-        let max_steps = self.max_steps_of(request);
-        // Interning and deciding both run under the read lock, concurrently with
-        // the tenant's other requests.
-        let ws = self.read_ws();
-        let query = ws.intern(text)?;
-        let served = ws
-            .decide_batch(dtd, &[query], 1, deadline, max_steps)?
-            .pop()
-            .expect("one decision per query");
+        let Some(mut decided) = self.decide_texts(request, reach, dtd, [Ok(text)], 1)? else {
+            return Ok(None);
+        };
+        let (canonical, served) = decided.pop().expect("one decision per query");
         // A spent step budget is a request-level failure for `check` (a deadline hit
         // already surfaced as ServiceError::DeadlineExceeded above).
         if let Some(cause) = served.decision.exhausted {
@@ -287,7 +303,6 @@ impl ProtocolServer {
                 served.decision.engine,
             ));
         }
-        let canonical = ws.query(query)?.canonical;
         let mut response = vec![
             ("ok", Json::Bool(true)),
             ("op", Json::Str("check".into())),
@@ -295,10 +310,10 @@ impl ProtocolServer {
             ("query", Json::Str(canonical)),
         ];
         response.extend(decision_fields(&served, with_witness));
-        Ok(Json::obj(response))
+        Ok(Some(Json::obj(response)))
     }
 
-    fn op_batch(&self, request: &Json) -> Result<Json, ProtocolError> {
+    fn op_batch(&self, request: &Json, reach: Reach) -> Result<Option<Json>, ProtocolError> {
         let dtd = dtd_id_field(request)?;
         let items = request
             .get("queries")
@@ -314,30 +329,69 @@ impl ProtocolServer {
             Some(n) if n > 0 => n as usize,
             _ => self.effective_threads(),
         };
-        let deadline = self.deadline_of(request);
-        let max_steps = self.max_steps_of(request);
-        let ws = self.read_ws();
-        let mut ids = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let text = item.as_str().ok_or_else(|| {
+        let texts = items.iter().enumerate().map(|(i, item)| {
+            item.as_str().ok_or_else(|| {
                 ProtocolError::new("malformed_request", format!("queries[{i}] is not a string"))
-            })?;
-            ids.push(ws.intern(text)?);
-        }
-        let served = ws.decide_batch(dtd, &ids, threads, deadline, max_steps)?;
-        let mut results = Vec::with_capacity(served.len());
-        for (id, one) in ids.iter().zip(&served) {
-            let mut fields = vec![("query", Json::Str(ws.query(*id)?.canonical))];
-            fields.extend(decision_fields(one, with_witness));
-            results.push(Json::obj(fields));
-        }
-        Ok(Json::obj(vec![
+            })
+        });
+        let Some(decided) = self.decide_texts(request, reach, dtd, texts, threads)? else {
+            return Ok(None);
+        };
+        let results = decided
+            .into_iter()
+            .map(|(canonical, one)| {
+                let mut fields = vec![("query", Json::Str(canonical))];
+                fields.extend(decision_fields(&one, with_witness));
+                Json::obj(fields)
+            })
+            .collect();
+        Ok(Some(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("op", Json::Str("batch".into())),
             ("dtd_id", Json::Num(dtd.index() as f64)),
             ("threads", Json::Num(threads as f64)),
             ("results", Json::Arr(results)),
-        ]))
+        ])))
+    }
+
+    /// The decisions of a `check`'s or `batch`'s queries, in order, each with the
+    /// query's canonical spelling.  `texts` yields each query's text, or the error
+    /// its field raises, interned one by one as the request lists them.
+    ///
+    /// [`Reach::Decided`] never waits for the workspace lock and never interns,
+    /// compiles or decides ([`Workspace::serve_decided`]): it answers `Ok(None)`
+    /// unless every query was asked before and its class is decided.  Its errors come
+    /// from the request's own fields, before anything is counted.
+    fn decide_texts<'a>(
+        &self,
+        request: &Json,
+        reach: Reach,
+        dtd: DtdId,
+        texts: impl IntoIterator<Item = Result<&'a str, ProtocolError>>,
+        threads: usize,
+    ) -> Result<Option<Vec<(String, ServedDecision)>>, ProtocolError> {
+        if reach == Reach::Decided {
+            let texts = texts.into_iter().collect::<Result<Vec<_>, _>>()?;
+            let Some(ws) = try_read_recovering(&self.workspace) else {
+                return Ok(None);
+            };
+            return Ok(ws.serve_decided(dtd, &texts));
+        }
+        let deadline = self.deadline_of(request);
+        let max_steps = self.max_steps_of(request);
+        // Interning and deciding both run under the read lock, concurrently with
+        // the tenant's other requests.
+        let ws = self.read_ws();
+        let mut ids = Vec::new();
+        for text in texts {
+            ids.push(ws.intern(text?)?);
+        }
+        let served = ws.decide_batch(dtd, &ids, threads, deadline, max_steps)?;
+        let mut decided = Vec::with_capacity(ids.len());
+        for (id, one) in ids.into_iter().zip(served) {
+            decided.push((ws.query(id)?.canonical, one));
+        }
+        Ok(Some(decided))
     }
 
     /// A DTD-property flag as JSON: `Null` when the DTD never compiled (vacuous).
@@ -472,6 +526,20 @@ impl ProtocolServer {
     fn effective_threads(&self) -> usize {
         crate::workspace::effective_threads(self.default_threads)
     }
+}
+
+/// How far a `check` or `batch` may go for its decisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// Intern first-seen spellings and compute undecided classes.
+    Compute,
+    /// Serve interned spellings of decided classes only; decline anything else.
+    Decided,
+}
+
+/// The answer of a [`Reach::Compute`] request, which never declines.
+fn computed(answer: Option<Json>) -> Json {
+    answer.expect("a computing check or batch always answers")
 }
 
 /// Render the shared decision fields of `check` and `batch` results.

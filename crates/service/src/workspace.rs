@@ -33,11 +33,13 @@
 //! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
 //! look the class up among those this workspace has already been served (a
 //! `decision_cache_hits` hit), then in the store (a `canonical_hits` hit); on a miss,
-//! compute it and publish the result.  `decide` is a one-query batch.  Interning and
-//! deciding take `&self`, so one workspace can be shared across batch workers and
-//! concurrent requests; only DTD registration needs `&mut`.  Decisions are stored and
-//! served as [`Arc<Decision>`]: a cache hit is a pointer bump, never a
-//! witness-document clone.
+//! compute it and publish the result.  `decide` is a one-query batch.
+//! [`Workspace::serve_decided`] runs the same pipeline lookup-only: it answers only
+//! when every query is an interned spelling of a decided class, and otherwise
+//! declines having counted and inserted nothing.  Interning and deciding take
+//! `&self`, so one workspace can be shared across batch workers and concurrent
+//! requests; only DTD registration needs `&mut`.  Decisions are stored and served as
+//! [`Arc<Decision>`]: a cache hit is a pointer bump, never a witness-document clone.
 
 use crate::canonical::{CanonicalCache, DtdKey, StoreEntry};
 use crate::stats::{CacheStats, StatsSnapshot};
@@ -45,7 +47,9 @@ use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 use std::time::Instant;
 use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver};
 use xpsat_dtd::{normalize, parse_dtd, Dtd, Normalization};
@@ -72,6 +76,16 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`lock_recovering`] for the read side of a reader-writer lock.
 pub(crate) fn read_recovering<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// [`read_recovering`] that gives up instead of waiting: `None` while a writer holds
+/// the lock or waits for it.
+pub(crate) fn try_read_recovering<T>(lock: &RwLock<T>) -> Option<RwLockReadGuard<'_, T>> {
+    match lock.try_read() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// [`lock_recovering`] for the write side of a reader-writer lock.
@@ -199,17 +213,16 @@ pub struct ServedDecision {
     pub cached: bool,
 }
 
-/// A batch class that missed [`Workspace::lookup`]: the class, its store entry and
+/// A batch class that missed [`Workspace::probe`]: the class, its store entry and
 /// the batch slot its decision goes to.
 type BatchMiss<'a> = (&'a QueryClass, Arc<StoreEntry>, &'a OnceLock<Arc<Decision>>);
 
-/// What [`Workspace::lookup`] found for a class.
-enum Lookup {
-    /// Served from the served-class table or the decision store.
-    Hit(Arc<Decision>),
-    /// Not decided yet; carries the class's store entry for
-    /// [`Workspace::compute_and_publish`].
-    Miss(Arc<StoreEntry>),
+/// Where [`Workspace::probe`] found a decided class.
+enum Found {
+    /// Among the classes this workspace was served.
+    Served(Arc<Decision>),
+    /// In the decision store, decided by another workspace or before a swap.
+    Stored(Arc<StoreEntry>),
 }
 
 /// What a registration did, beyond handing back the id.
@@ -602,9 +615,10 @@ impl Workspace {
 
     // ---- deciding --------------------------------------------------------------
     //
-    // Both request shapes run one per-class pipeline: `lookup` serves a structural
-    // class from the served-class table or the decision store, and on a miss
-    // `compute_and_publish` decides it and publishes the result.
+    // Every request shape runs one per-class pipeline: `probe` finds a structural
+    // class in the served-class table or the decision store and `count_hit` serves
+    // it; on a miss `compute_and_publish` decides it and publishes the result, unless
+    // the caller is lookup-only (`serve_decided`) and declines instead.
 
     /// Decide one `(dtd, query)` instance without a budget, serving from the decision
     /// store when the query's structural class has been decided before: a
@@ -652,35 +666,102 @@ impl Workspace {
                 .map(|&q| table.class(q).cloned())
                 .collect::<Result<Vec<_>, _>>()?
         };
+        let budget = Budget {
+            max_steps,
+            deadline,
+        };
+        let served = self.decide_classes(dtd, &classes, Some((&budget, threads)))?;
+        Ok(served.expect("a computing decide never declines"))
+    }
+
+    /// Serve queries whose answers are already known, without interning, compiling or
+    /// deciding anything: the lookup-only counterpart of interning each text and
+    /// calling [`Workspace::decide_batch`], with the same decisions, `cached` flags
+    /// and counters.  Returns each query's canonical spelling with its decision, in
+    /// order.
+    ///
+    /// `None` — with nothing counted and nothing inserted — unless `dtd` is
+    /// registered and every text parses to an interned spelling whose class is
+    /// decided against it, in the classes this workspace was served or in the
+    /// decision store.  Published decisions are never withdrawn, so an answer found
+    /// here stays the answer.
+    pub fn serve_decided(
+        &self,
+        dtd: DtdId,
+        texts: &[&str],
+    ) -> Option<Vec<(String, ServedDecision)>> {
+        let mut spellings = Vec::with_capacity(texts.len());
+        for text in texts {
+            spellings.push(parse_path(text).ok()?.to_string());
+        }
+        let classes = {
+            let table = read_recovering(&self.queries);
+            spellings
+                .iter()
+                .map(|spelling| {
+                    let id = table.spelling(spelling)?;
+                    table.class(id).ok().cloned()
+                })
+                .collect::<Option<Vec<_>>>()?
+        };
+        self.check_dtd(dtd).ok()?;
+        let served = self.decide_classes(dtd, &classes, None).ok()??;
+        // Each text was a reused spelling, as `intern` would have counted it.
+        CacheStats::add(&self.stats.queries_reused, texts.len() as u64);
+        Some(spellings.into_iter().zip(served).collect())
+    }
+
+    /// The one decide body behind [`Workspace::decide_batch`] and
+    /// [`Workspace::serve_decided`], over the classes of a batch's queries against a
+    /// registered DTD.
+    ///
+    /// The batch is deduplicated to structural classes and every class is probed
+    /// inline.  With `compute` set, the misses are computed under its budget on up to
+    /// its thread count; a batch without misses spawns no thread.  Without it the
+    /// call is lookup-only: the first undecided class makes it return `Ok(None)`
+    /// before any counter moves or any entry is created.
+    fn decide_classes(
+        &self,
+        dtd: DtdId,
+        classes: &[Arc<QueryClass>],
+        compute: Option<(&Budget, usize)>,
+    ) -> Result<Option<Vec<ServedDecision>>, ServiceError> {
         // Every spelling of a structural class is one unit of work.
         let mut unique: Vec<&QueryClass> = classes.iter().map(|class| &**class).collect();
         unique.sort_unstable_by_key(|class| class.rep);
         unique.dedup_by_key(|class| class.rep);
+        let found: Vec<Option<Found>> = unique.iter().map(|class| self.probe(dtd, class)).collect();
+        if compute.is_none() && found.iter().any(Option::is_none) {
+            return Ok(None);
+        }
         let decided: Vec<OnceLock<Arc<Decision>>> =
             unique.iter().map(|_| OnceLock::new()).collect();
         let mut misses = Vec::new();
-        for (&class, slot) in unique.iter().zip(&decided) {
-            match self.lookup(dtd, class) {
-                Lookup::Hit(decision) => {
-                    let _ = slot.set(decision);
+        for ((&class, found), slot) in unique.iter().zip(found).zip(&decided) {
+            let found = match found {
+                Some(found) => found,
+                None => {
+                    let entry = self.class_entry(dtd, class);
+                    if entry.decision.get().is_none() {
+                        misses.push((class, entry, slot));
+                        continue;
+                    }
+                    // Published since the probe: a store hit after all.
+                    Found::Stored(entry)
                 }
-                Lookup::Miss(entry) => misses.push((class, entry, slot)),
-            }
-        }
-        if !misses.is_empty() {
-            let budget = Budget {
-                max_steps,
-                deadline,
             };
+            let _ = slot.set(self.count_hit(dtd, class.rep, found));
+        }
+        if let Some((budget, threads)) = compute.filter(|_| !misses.is_empty()) {
             let artifacts = self.artifacts(dtd)?;
-            if self.compute_misses(dtd, &misses, &artifacts, &budget, threads) {
+            if self.compute_misses(dtd, &misses, &artifacts, budget, threads) {
                 CacheStats::bump(&self.stats.deadline_exceeded);
                 return Err(ServiceError::DeadlineExceeded);
             }
         }
 
         // The first query of a missed class is served as computed; the first query
-        // of any other class was counted by its lookup, and every repeat is a local
+        // of any other class was counted as a hit, and every repeat is a local
         // hit — exactly what a sequential decide loop sees.
         let mut repeat = vec![false; unique.len()];
         let out = classes
@@ -702,7 +783,7 @@ impl Workspace {
                 }
             })
             .collect();
-        Ok(out)
+        Ok(Some(out))
     }
 
     /// Fail with [`ServiceError::UnknownDtd`] unless `dtd` is registered.
@@ -727,29 +808,41 @@ impl Workspace {
             .or_insert_with(|| Arc::clone(entry));
     }
 
-    /// Probe the served-class table, then the decision store, for a class of a
-    /// registered DTD, counting the hit: a class this workspace was served before is a
-    /// `decision_cache_hits` hit, one decided elsewhere a `canonical_hits` hit.
-    /// Neither probe touches the DTD's artifacts, so an evicted DTD's decided
-    /// classes are served without rematerialising it.
-    fn lookup(&self, dtd: DtdId, class: &QueryClass) -> Lookup {
+    /// Find a class of a registered DTD among those decided, counting nothing and
+    /// inserting nothing: first in the classes this workspace was served, then in
+    /// the decision store.  Neither probe touches the DTD's artifacts, so an evicted
+    /// DTD's decided classes are served without rematerialising it.
+    fn probe(&self, dtd: DtdId, class: &QueryClass) -> Option<Found> {
         let served = lock_recovering(&self.served)
             .get(&(dtd, class.rep))
             .and_then(|entry| entry.decision.get().cloned());
-        if let Some(hit) = served {
-            CacheStats::bump(&self.stats.decision_cache_hits);
-            return Lookup::Hit(hit);
+        if let Some(decision) = served {
+            return Some(Found::Served(decision));
         }
-        let entry = self.class_entry(dtd, class);
-        let Some(hit) = entry.decision.get().cloned() else {
-            return Lookup::Miss(entry);
-        };
-        CacheStats::bump(&self.stats.canonical_hits);
-        self.serve(dtd, class.rep, &entry);
-        Lookup::Hit(hit)
+        self.canonical
+            .get(self.dtds[dtd.0].key, class.canonical_hash, &class.text)
+            .filter(|entry| entry.decision.get().is_some())
+            .map(Found::Stored)
     }
 
-    /// Decide a class that missed [`Workspace::lookup`]: replay its
+    /// Count a hit found by [`Workspace::probe`] and hand out its decision: a class
+    /// this workspace was served before is a `decision_cache_hits` hit, one decided
+    /// elsewhere a `canonical_hits` hit that joins the served classes.
+    fn count_hit(&self, dtd: DtdId, rep: QueryId, found: Found) -> Arc<Decision> {
+        match found {
+            Found::Served(decision) => {
+                CacheStats::bump(&self.stats.decision_cache_hits);
+                decision
+            }
+            Found::Stored(entry) => {
+                CacheStats::bump(&self.stats.canonical_hits);
+                self.serve(dtd, rep, &entry);
+                Arc::clone(entry.decision.get().expect("a stored hit is decided"))
+            }
+        }
+    }
+
+    /// Decide a class that missed [`Workspace::probe`]: replay its
     /// compiled program in the VM when the class is inside the compiled fragment,
     /// else run the AST solver on the canonical path (so engine dispatch, like the
     /// store, sees one spelling per class).  The decision is published to the store
@@ -1288,6 +1381,46 @@ mod tests {
             "{after}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_decided_declines_without_a_trace_and_counts_like_decide() {
+        let mut ws = Workspace::default();
+        let d = ws.register_dtd(DTD_A).unwrap();
+        let mut twin = Workspace::default();
+        twin.register_dtd(DTD_A).unwrap();
+        for w in [&ws, &twin] {
+            let q = w.intern("a[b]").unwrap();
+            w.intern("a/b").unwrap();
+            w.decide(d, q).unwrap();
+        }
+        // A first-seen spelling, a parse error, an unknown DTD, and an interned
+        // spelling whose class is undecided all decline, as does any batch holding
+        // one of them: no counter moves and the store gains no entry.
+        let before = ws.stats();
+        let classes = ws.canonical_cache().len();
+        for texts in [&["a[b][b]"][..], &["a[["], &["a/b"], &["a[b]", "a/b"]] {
+            assert!(ws.serve_decided(d, texts).is_none(), "{texts:?}");
+        }
+        assert!(ws.serve_decided(DtdId(9), &["a[b]"]).is_none());
+        assert_eq!(ws.stats(), before);
+        assert_eq!(ws.canonical_cache().len(), classes);
+
+        // A decided batch is served exactly as interning and deciding it would be.
+        let texts = ["a[b]", "a[b]"];
+        let served = ws.serve_decided(d, &texts).expect("every class is decided");
+        let ids: Vec<QueryId> = texts.iter().map(|t| twin.intern(t).unwrap()).collect();
+        let expected = twin.decide_batch(d, &ids, 1, None, None).unwrap();
+        assert_eq!(served.len(), expected.len());
+        for ((spelling, one), want) in served.iter().zip(&expected) {
+            assert_eq!(spelling, "a[b]");
+            assert_eq!(one.cached, want.cached);
+            assert_eq!(
+                decision_fingerprint(&one.decision),
+                decision_fingerprint(&want.decision)
+            );
+        }
+        assert_eq!(ws.stats(), twin.stats());
     }
 
     #[test]
