@@ -312,7 +312,8 @@ impl FairScheduler {
 
     /// Admit a job into its tenant's sub-queue, or hand it back with the refusal
     /// reason: [`FairScheduler::admit`], then [`FairScheduler::enqueue`].
-    pub fn submit(&self, job: Job) -> Result<(), (Job, Refusal)> {
+    #[cfg(test)]
+    fn submit(&self, job: Job) -> Result<(), (Job, Refusal)> {
         if let Err(refusal) = self.admit(job.tenant.name(), job.cost) {
             return Err((job, refusal));
         }

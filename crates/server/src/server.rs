@@ -18,7 +18,9 @@
 //!   of the decision store per class
 //!   ([`xpsat_service::ProtocolServer::handle_decided`]).  Any other request becomes
 //!   a [`Job`] queued in the scheduler, and the connection thread blocks on the
-//!   job's [`ResponseSlot`].
+//!   job's [`ResponseSlot`].  Probing parses and renders the request's queries,
+//!   which recurses once per query step, so connection threads get the decide
+//!   workers' deep stack.
 //! * **Decide workers** (`decide_workers` of them) pull jobs from the scheduler in
 //!   deficit-round-robin order across tenants — a flooding tenant's backlog cannot
 //!   starve anyone else — execute them under `catch_unwind`, and fulfill the slot.
@@ -266,14 +268,20 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, &shared))
         };
+        // A stack overflow aborts the process, and a connection thread parses and
+        // renders every query it probes (see the module doc).
         let conn_threads: Vec<JoinHandle<()>> = (0..conn_workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(conn) = shared.conn_queue.pop() {
-                        handle_connection(conn, &shared);
-                    }
-                })
+                std::thread::Builder::new()
+                    .name("xpsat-conn".into())
+                    .stack_size(xpsat_core::DECIDE_STACK_BYTES)
+                    .spawn(move || {
+                        while let Some(conn) = shared.conn_queue.pop() {
+                            handle_connection(conn, &shared);
+                        }
+                    })
+                    .expect("spawn connection thread")
             })
             .collect();
         for _ in 0..decide_workers {

@@ -445,17 +445,31 @@ fn decided_checks_do_not_wait_for_decide_capacity() {
     let first = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
     assert_eq!(field(&first, "cached").as_bool(), Some(false));
 
-    // Park the only decide worker under another tenant, and wait until it runs.
-    let mut staller = Client::connect(&addr);
+    // Park the only decide worker: two stalls under other tenants, until one runs
+    // and the other waits in the queue.  Only then is a stall certainly ahead of
+    // every request queued later (a single stall looks the same in `health` in
+    // the moment between its admission and its enqueue).
     let stall_sent = std::time::Instant::now();
-    staller.send_raw(r#"{"op":"debug_stall","stall_ms":1500,"tenant":"staller"}"#);
+    let mut stallers = Vec::new();
+    for tenant in ["staller", "staller2"] {
+        let mut staller = Client::connect(&addr);
+        staller.send_raw(&format!(
+            r#"{{"op":"debug_stall","stall_ms":1500,"tenant":"{tenant}"}}"#
+        ));
+        stallers.push(staller);
+    }
+    let parked = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let health = client.round_trip(r#"{"op":"health"}"#);
         if field(&health, "inflight_cost").as_u64() == Some(1)
-            && field(&health, "queued_jobs").as_u64() == Some(0)
+            && field(&health, "queued_jobs").as_u64() == Some(1)
         {
             break;
         }
+        assert!(
+            std::time::Instant::now() < parked,
+            "the stalls never parked the worker: {health}"
+        );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
@@ -474,8 +488,10 @@ fn decided_checks_do_not_wait_for_decide_capacity() {
     let fresh = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a/b"}"#);
     assert_eq!(field(&fresh, "ok").as_bool(), Some(true));
     assert!(stall_sent.elapsed() >= std::time::Duration::from_millis(1500));
-    let stalled = staller.recv();
-    assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
+    for mut staller in stallers {
+        let stalled = staller.recv();
+        assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
+    }
     assert_eq!(handle.stats().requests_inline, 1);
     handle.shutdown();
 }
@@ -503,5 +519,24 @@ fn decided_checks_pass_the_tenant_rate_limit() {
     let stats = handle.stats();
     assert_eq!(stats.requests_rate_limited, 1);
     assert_eq!(stats.requests_inline, 0);
+    handle.shutdown();
+}
+
+#[test]
+fn long_step_chains_do_not_overflow_a_connection_thread() {
+    // A `check` is probed on its connection thread, which parses and renders the
+    // query; both recurse once per step of an `a/a/…` chain.  An unregistered DTD
+    // keeps the decide pool's share of the work (interning) short.
+    let (handle, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr);
+    let chain = vec!["a"; 20_000].join("/");
+    let check = format!(r#"{{"op":"check","dtd_id":7,"query":"{chain}"}}"#);
+    for _ in 0..2 {
+        let answer = client.round_trip(&check);
+        let error = field(&answer, "error");
+        assert_eq!(field(error, "kind").as_str(), Some("unknown_dtd"));
+    }
+    let health = client.round_trip(r#"{"op":"health"}"#);
+    assert_eq!(field(&health, "ok").as_bool(), Some(true));
     handle.shutdown();
 }

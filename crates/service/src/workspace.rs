@@ -213,11 +213,29 @@ pub struct ServedDecision {
     pub cached: bool,
 }
 
-/// A batch class that missed [`Workspace::probe`]: the class, its store entry and
+/// A batch class that missed [`Workspace::lookup`]: the class, its store entry and
 /// the batch slot its decision goes to.
 type BatchMiss<'a> = (&'a QueryClass, Arc<StoreEntry>, &'a OnceLock<Arc<Decision>>);
 
-/// Where [`Workspace::probe`] found a decided class.
+/// A batch's structural classes, each once, sorted by representative: every
+/// spelling of a class is one unit of work.
+fn unique_classes(classes: &[Arc<QueryClass>]) -> Vec<&QueryClass> {
+    let mut unique: Vec<&QueryClass> = classes.iter().map(|class| &**class).collect();
+    unique.sort_unstable_by_key(|class| class.rep);
+    unique.dedup_by_key(|class| class.rep);
+    unique
+}
+
+/// What [`Workspace::lookup`] found for a class.
+enum Lookup {
+    /// Served from the served-class table or the decision store.
+    Hit(Arc<Decision>),
+    /// Not decided yet; carries the class's store entry for
+    /// [`Workspace::compute_and_publish`].
+    Miss(Arc<StoreEntry>),
+}
+
+/// Where [`Workspace::lookup`] or [`Workspace::probe`] found a decided class.
 enum Found {
     /// Among the classes this workspace was served.
     Served(Arc<Decision>),
@@ -565,8 +583,8 @@ impl Workspace {
     /// lock held; only a first-seen spelling takes the write lock, re-probing under
     /// it so a racing intern of the same text is counted as a reuse.
     pub fn intern_path(&self, path: Path) -> QueryId {
-        let canonical = path.to_string();
-        if let Some(id) = read_recovering(&self.queries).spelling(&canonical) {
+        let (canonical, found) = self.find_spelling(&path);
+        if let Some(id) = found {
             CacheStats::bump(&self.stats.queries_reused);
             return id;
         }
@@ -604,6 +622,14 @@ impl Workspace {
         id
     }
 
+    /// The interner's key for a parsed query — its `Display` rendering — with the id
+    /// interned under it, if any.  Reads the table; counts nothing.
+    fn find_spelling(&self, path: &Path) -> (String, Option<QueryId>) {
+        let spelling = path.to_string();
+        let id = read_recovering(&self.queries).spelling(&spelling);
+        (spelling, id)
+    }
+
     /// The interned form of a query id.
     pub fn query(&self, id: QueryId) -> Result<InternedQuery, ServiceError> {
         read_recovering(&self.queries)
@@ -615,10 +641,10 @@ impl Workspace {
 
     // ---- deciding --------------------------------------------------------------
     //
-    // Every request shape runs one per-class pipeline: `probe` finds a structural
-    // class in the served-class table or the decision store and `count_hit` serves
-    // it; on a miss `compute_and_publish` decides it and publishes the result, unless
-    // the caller is lookup-only (`serve_decided`) and declines instead.
+    // Every request shape runs one per-class pipeline: `lookup` serves a structural
+    // class from the served-class table or the decision store, and on a miss
+    // `compute_and_publish` decides it and publishes the result.  The lookup-only
+    // `serve_decided` probes every class first and declines on a miss.
 
     /// Decide one `(dtd, query)` instance without a budget, serving from the decision
     /// store when the query's structural class has been decided before: a
@@ -666,12 +692,30 @@ impl Workspace {
                 .map(|&q| table.class(q).cloned())
                 .collect::<Result<Vec<_>, _>>()?
         };
-        let budget = Budget {
-            max_steps,
-            deadline,
-        };
-        let served = self.decide_classes(dtd, &classes, Some((&budget, threads)))?;
-        Ok(served.expect("a computing decide never declines"))
+        let unique = unique_classes(&classes);
+        let decided: Vec<OnceLock<Arc<Decision>>> =
+            unique.iter().map(|_| OnceLock::new()).collect();
+        let mut misses = Vec::new();
+        for (&class, slot) in unique.iter().zip(&decided) {
+            match self.lookup(dtd, class) {
+                Lookup::Hit(decision) => {
+                    let _ = slot.set(decision);
+                }
+                Lookup::Miss(entry) => misses.push((class, entry, slot)),
+            }
+        }
+        if !misses.is_empty() {
+            let budget = Budget {
+                max_steps,
+                deadline,
+            };
+            let artifacts = self.artifacts(dtd)?;
+            if self.compute_misses(dtd, &misses, &artifacts, &budget, threads) {
+                CacheStats::bump(&self.stats.deadline_exceeded);
+                return Err(ServiceError::DeadlineExceeded);
+            }
+        }
+        Ok(self.in_query_order(&classes, &unique, &decided, &misses))
     }
 
     /// Serve queries whose answers are already known, without interning, compiling or
@@ -691,80 +735,50 @@ impl Workspace {
         texts: &[&str],
     ) -> Option<Vec<(String, ServedDecision)>> {
         let mut spellings = Vec::with_capacity(texts.len());
+        let mut ids = Vec::with_capacity(texts.len());
         for text in texts {
-            spellings.push(parse_path(text).ok()?.to_string());
+            let (spelling, id) = self.find_spelling(&parse_path(text).ok()?);
+            spellings.push(spelling);
+            ids.push(id?);
         }
+        self.check_dtd(dtd).ok()?;
         let classes = {
             let table = read_recovering(&self.queries);
-            spellings
-                .iter()
-                .map(|spelling| {
-                    let id = table.spelling(spelling)?;
-                    table.class(id).ok().cloned()
-                })
-                .collect::<Option<Vec<_>>>()?
+            ids.iter()
+                .map(|&id| table.class(id).cloned())
+                .collect::<Result<Vec<_>, _>>()
+                .ok()?
         };
-        self.check_dtd(dtd).ok()?;
-        let served = self.decide_classes(dtd, &classes, None).ok()??;
-        // Each text was a reused spelling, as `intern` would have counted it.
+        let unique = unique_classes(&classes);
+        let found = unique
+            .iter()
+            .map(|class| self.probe(dtd, class))
+            .collect::<Option<Vec<_>>>()?;
+        // Every class is decided: count what interning each text (a reused
+        // spelling) and deciding the batch count.
         CacheStats::add(&self.stats.queries_reused, texts.len() as u64);
+        let decided: Vec<OnceLock<Arc<Decision>>> = unique
+            .iter()
+            .zip(found)
+            .map(|(class, found)| OnceLock::from(self.count_hit(dtd, class.rep, found)))
+            .collect();
+        let served = self.in_query_order(&classes, &unique, &decided, &[]);
         Some(spellings.into_iter().zip(served).collect())
     }
 
-    /// The one decide body behind [`Workspace::decide_batch`] and
-    /// [`Workspace::serve_decided`], over the classes of a batch's queries against a
-    /// registered DTD.
-    ///
-    /// The batch is deduplicated to structural classes and every class is probed
-    /// inline.  With `compute` set, the misses are computed under its budget on up to
-    /// its thread count; a batch without misses spawns no thread.  Without it the
-    /// call is lookup-only: the first undecided class makes it return `Ok(None)`
-    /// before any counter moves or any entry is created.
-    fn decide_classes(
+    /// A batch's decisions in query order, from the decisions of its `unique`
+    /// classes.  The first query of a class in `misses` is served as computed; the
+    /// first query of any other class was counted as a hit when it was looked up,
+    /// and every repeat is a local hit — exactly what a sequential decide loop sees.
+    fn in_query_order(
         &self,
-        dtd: DtdId,
         classes: &[Arc<QueryClass>],
-        compute: Option<(&Budget, usize)>,
-    ) -> Result<Option<Vec<ServedDecision>>, ServiceError> {
-        // Every spelling of a structural class is one unit of work.
-        let mut unique: Vec<&QueryClass> = classes.iter().map(|class| &**class).collect();
-        unique.sort_unstable_by_key(|class| class.rep);
-        unique.dedup_by_key(|class| class.rep);
-        let found: Vec<Option<Found>> = unique.iter().map(|class| self.probe(dtd, class)).collect();
-        if compute.is_none() && found.iter().any(Option::is_none) {
-            return Ok(None);
-        }
-        let decided: Vec<OnceLock<Arc<Decision>>> =
-            unique.iter().map(|_| OnceLock::new()).collect();
-        let mut misses = Vec::new();
-        for ((&class, found), slot) in unique.iter().zip(found).zip(&decided) {
-            let found = match found {
-                Some(found) => found,
-                None => {
-                    let entry = self.class_entry(dtd, class);
-                    if entry.decision.get().is_none() {
-                        misses.push((class, entry, slot));
-                        continue;
-                    }
-                    // Published since the probe: a store hit after all.
-                    Found::Stored(entry)
-                }
-            };
-            let _ = slot.set(self.count_hit(dtd, class.rep, found));
-        }
-        if let Some((budget, threads)) = compute.filter(|_| !misses.is_empty()) {
-            let artifacts = self.artifacts(dtd)?;
-            if self.compute_misses(dtd, &misses, &artifacts, budget, threads) {
-                CacheStats::bump(&self.stats.deadline_exceeded);
-                return Err(ServiceError::DeadlineExceeded);
-            }
-        }
-
-        // The first query of a missed class is served as computed; the first query
-        // of any other class was counted as a hit, and every repeat is a local
-        // hit — exactly what a sequential decide loop sees.
+        unique: &[&QueryClass],
+        decided: &[OnceLock<Arc<Decision>>],
+        misses: &[BatchMiss<'_>],
+    ) -> Vec<ServedDecision> {
         let mut repeat = vec![false; unique.len()];
-        let out = classes
+        classes
             .iter()
             .map(|class| {
                 let i = unique
@@ -782,8 +796,7 @@ impl Workspace {
                     cached: again || !computed,
                 }
             })
-            .collect();
-        Ok(Some(out))
+            .collect()
     }
 
     /// Fail with [`ServiceError::UnknownDtd`] unless `dtd` is registered.
@@ -808,15 +821,30 @@ impl Workspace {
             .or_insert_with(|| Arc::clone(entry));
     }
 
-    /// Find a class of a registered DTD among those decided, counting nothing and
-    /// inserting nothing: first in the classes this workspace was served, then in
-    /// the decision store.  Neither probe touches the DTD's artifacts, so an evicted
-    /// DTD's decided classes are served without rematerialising it.
+    /// Look a class of a registered DTD up among those decided, counting the hit
+    /// (see [`Workspace::count_hit`]): first in the classes this workspace was
+    /// served, then in the decision store, whose entry for the class a miss
+    /// creates for [`Workspace::compute_and_publish`].  Neither probe touches the
+    /// DTD's artifacts, so an evicted DTD's decided classes are served without
+    /// rematerialising it.
+    fn lookup(&self, dtd: DtdId, class: &QueryClass) -> Lookup {
+        let found = match self.served_decision(dtd, class.rep) {
+            Some(decision) => Found::Served(decision),
+            None => {
+                let entry = self.class_entry(dtd, class);
+                if entry.decision.get().is_none() {
+                    return Lookup::Miss(entry);
+                }
+                Found::Stored(entry)
+            }
+        };
+        Lookup::Hit(self.count_hit(dtd, class.rep, found))
+    }
+
+    /// [`Workspace::lookup`] that counts nothing and inserts nothing: `None` when the
+    /// class is undecided.
     fn probe(&self, dtd: DtdId, class: &QueryClass) -> Option<Found> {
-        let served = lock_recovering(&self.served)
-            .get(&(dtd, class.rep))
-            .and_then(|entry| entry.decision.get().cloned());
-        if let Some(decision) = served {
+        if let Some(decision) = self.served_decision(dtd, class.rep) {
             return Some(Found::Served(decision));
         }
         self.canonical
@@ -825,9 +853,17 @@ impl Workspace {
             .map(Found::Stored)
     }
 
-    /// Count a hit found by [`Workspace::probe`] and hand out its decision: a class
-    /// this workspace was served before is a `decision_cache_hits` hit, one decided
-    /// elsewhere a `canonical_hits` hit that joins the served classes.
+    /// The decision of a class this workspace was served, if any.
+    fn served_decision(&self, dtd: DtdId, rep: QueryId) -> Option<Arc<Decision>> {
+        lock_recovering(&self.served)
+            .get(&(dtd, rep))
+            .and_then(|entry| entry.decision.get().cloned())
+    }
+
+    /// Count a decided class found by [`Workspace::lookup`] or [`Workspace::probe`]
+    /// and hand out its decision: a class this workspace was served before is a
+    /// `decision_cache_hits` hit, one decided elsewhere a `canonical_hits` hit that
+    /// joins the served classes.
     fn count_hit(&self, dtd: DtdId, rep: QueryId, found: Found) -> Arc<Decision> {
         match found {
             Found::Served(decision) => {
@@ -842,7 +878,7 @@ impl Workspace {
         }
     }
 
-    /// Decide a class that missed [`Workspace::probe`]: replay its
+    /// Decide a class that missed [`Workspace::lookup`]: replay its
     /// compiled program in the VM when the class is inside the compiled fragment,
     /// else run the AST solver on the canonical path (so engine dispatch, like the
     /// store, sees one spelling per class).  The decision is published to the store
