@@ -1,8 +1,16 @@
-//! Graceful-lifecycle primitives: the server state machine and per-worker
+//! Graceful-lifecycle primitives: the server state machine, with a condition
+//! variable that wakes the threads waiting on its transitions, and per-worker
 //! liveness hearts for the watchdog.
+//!
+//! Nothing here polls on a timer.  A thread that waits for a transition
+//! ([`ServerHandle::wait`](crate::ServerHandle::wait) for drain, the watchdog for
+//! `Stopped` between its samples, shutdown for the decide workers to exit) blocks
+//! in `Lifecycle::wait_until`, and every transition wakes it:
+//! [`Lifecycle::begin_drain`], [`Lifecycle::stop`] and `Lifecycle::notify`, which
+//! an exiting decide worker calls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The server's lifecycle phase.
@@ -21,11 +29,17 @@ const DRAINING: u8 = 1;
 const STOPPED: u8 = 2;
 
 /// Shared lifecycle state: a monotone `Running → Draining → Stopped` machine.
+///
+/// The phase is an atomic, read without locking on every request.  `changed` waits
+/// on the `drain_started` lock, which every waker takes before it notifies: a
+/// waiter checks its condition under that lock, so a transition made before the
+/// check is seen by it, and one made after wakes it.
 #[derive(Debug)]
 pub struct Lifecycle {
     phase: AtomicU8,
     started: Instant,
     drain_started: Mutex<Option<Instant>>,
+    changed: Condvar,
     watchdog_trips: AtomicU64,
 }
 
@@ -35,6 +49,7 @@ impl Default for Lifecycle {
             phase: AtomicU8::new(RUNNING),
             started: Instant::now(),
             drain_started: Mutex::new(None),
+            changed: Condvar::new(),
             watchdog_trips: AtomicU64::new(0),
         }
     }
@@ -62,26 +77,67 @@ impl Lifecycle {
             .compare_exchange(RUNNING, DRAINING, Ordering::AcqRel, Ordering::Acquire)
             .is_ok();
         if first {
-            let mut started = self
-                .drain_started
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *started = Some(Instant::now());
+            *self.lock_drain_started() = Some(Instant::now());
+            self.changed.notify_all();
         }
         first
     }
 
     /// When drain began, if it has.
     pub fn drain_started(&self) -> Option<Instant> {
-        *self
-            .drain_started
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        *self.lock_drain_started()
     }
 
     /// Move to `Stopped` (from any phase).
     pub fn stop(&self) {
         self.phase.store(STOPPED, Ordering::Release);
+        self.notify();
+    }
+
+    /// Wake every [`Lifecycle::wait_until`] waiter to re-check its condition: call
+    /// it after changing state such a condition reads.
+    pub(crate) fn notify(&self) {
+        let _order = self.lock_drain_started();
+        self.changed.notify_all();
+    }
+
+    /// Block until `done()` holds or `deadline` passes (`None`: no deadline), and
+    /// return `done()`'s last value.  `done` is checked on entry and after each
+    /// wake-up, under the lifecycle's lock, so it must not call back into this
+    /// lifecycle's [`Lifecycle::drain_started`].
+    pub(crate) fn wait_until(
+        &self,
+        deadline: Option<Instant>,
+        mut done: impl FnMut() -> bool,
+    ) -> bool {
+        let mut guard = self.lock_drain_started();
+        loop {
+            if done() {
+                return true;
+            }
+            guard = match deadline {
+                None => self
+                    .changed
+                    .wait(guard)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    self.changed
+                        .wait_timeout(guard, left)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .0
+                }
+            };
+        }
+    }
+
+    fn lock_drain_started(&self) -> std::sync::MutexGuard<'_, Option<Instant>> {
+        self.drain_started
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Record a watchdog trip (a stuck worker replaced).
@@ -99,11 +155,13 @@ impl Lifecycle {
 /// each job; the watchdog reads `busy_since` and, past the stuck threshold, marks
 /// the heart `abandoned` and spawns a replacement.  An abandoned worker exits as
 /// soon as its current job returns (its late result is discarded by the
-/// first-write-wins [`crate::fair::ResponseSlot`]).
+/// first-write-wins [`crate::fair::ResponseSlot`]).  A worker marks its heart
+/// `exited` as its thread ends, which is what shutdown waits for.
 #[derive(Debug, Default)]
 pub struct WorkerHeart {
     busy_since: Mutex<Option<Instant>>,
     abandoned: AtomicBool,
+    exited: AtomicBool,
 }
 
 impl WorkerHeart {
@@ -141,6 +199,15 @@ impl WorkerHeart {
     pub fn is_abandoned(&self) -> bool {
         self.abandoned.load(Ordering::Acquire)
     }
+
+    /// The worker has left its loop and takes no further job.
+    pub(crate) fn mark_exited(&self) {
+        self.exited.store(true, Ordering::Release);
+    }
+
+    pub(crate) fn has_exited(&self) -> bool {
+        self.exited.load(Ordering::Acquire)
+    }
 }
 
 #[cfg(test)]
@@ -160,6 +227,38 @@ mod tests {
         assert_eq!(lc.phase(), Phase::Stopped);
         assert!(!lc.begin_drain(), "cannot drain a stopped server");
         assert_eq!(lc.phase(), Phase::Stopped);
+    }
+
+    #[test]
+    fn wait_until_wakes_on_a_transition_and_honours_its_deadline() {
+        let lc = std::sync::Arc::new(Lifecycle::default());
+        assert!(!lc.wait_until(Some(Instant::now() + Duration::from_millis(20)), || false));
+
+        // The waiter reports its first check, made under the lifecycle's lock, so
+        // the drain below can only take that lock once the waiter is waiting.
+        let (checked, first_check) = std::sync::mpsc::channel();
+        let waiter = {
+            let lc = std::sync::Arc::clone(&lc);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let mut report = Some(checked);
+                let drained = lc.wait_until(Some(started + Duration::from_secs(30)), || {
+                    if let Some(checked) = report.take() {
+                        checked.send(()).expect("test thread listens");
+                    }
+                    lc.phase() != Phase::Running
+                });
+                (drained, started.elapsed())
+            })
+        };
+        first_check.recv().expect("waiter checks once");
+        assert!(lc.begin_drain());
+        let (drained, waited) = waiter.join().expect("waiter returns");
+        assert!(drained);
+        assert!(
+            waited < Duration::from_secs(10),
+            "woken only by the deadline"
+        );
     }
 
     #[test]

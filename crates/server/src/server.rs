@@ -3,12 +3,14 @@
 //!
 //! Threading model (all `std`, no async runtime):
 //!
-//! * One **accept thread** polls the listener (non-blocking, ~10 ms cadence so it
-//!   notices lifecycle changes) and pushes accepted connections into a
-//!   [`BoundedQueue`].  When the queue is full the connection is answered with an
-//!   `overloaded` JSON response and closed immediately; once the server is
-//!   draining, new connections are answered `shutting_down` instead — callers see
-//!   backpressure and lifecycle as data, not as a hung connect.
+//! * One **accept thread** blocks in `accept()` on the (blocking) listener and
+//!   pushes accepted connections into a [`BoundedQueue`], so a new connection is
+//!   taken the moment it arrives.  When the queue is full the connection is
+//!   answered with an `overloaded` JSON response and closed immediately; once the
+//!   server is draining, new connections are answered `shutting_down` instead —
+//!   callers see backpressure and lifecycle as data, not as a hung connect.  At
+//!   `Stopped` the handle wakes the thread with one connection to its own listener
+//!   (see [`ServerHandle`]); it sleeps only to back off after a failed `accept`.
 //! * **Connection threads** (`workers` of them) each pop a connection and own it
 //!   until it disconnects: framing ([`LineReader`], size caps, the slow-loris
 //!   mid-line stall guard), parsing, tenant resolution and admission through the
@@ -26,8 +28,10 @@
 //!   starve anyone else — execute them under `catch_unwind`, and fulfill the slot.
 //!   Every queued job is answered exactly once: by its worker, by the shedder, or
 //!   by the drain-abort path.  Every request that needs compute runs here: a
-//!   first-seen spelling or class, `register_dtd`, `classify`, `stats` and the
-//!   debug ops.
+//!   first-seen spelling or class, `register_dtd`, `classify` and the debug ops.
+//!   `stats` only reads counters, so the connection thread answers it as it does a
+//!   decided `check`; only a `register_dtd` holding or awaiting the tenant's
+//!   workspace sends it here.
 //! * A **watchdog thread** samples each decide worker's [`WorkerHeart`]; a worker
 //!   stuck on one job past the threshold is abandoned (it exits after the job, its
 //!   late result discarded by the first-write-wins slot) and a replacement is
@@ -39,7 +43,13 @@
 //! stops admission (new requests answer `shutting_down`), lets queued and
 //! in-flight jobs finish up to the drain deadline, then aborts what remains (each
 //! aborted job still gets a `shutting_down` answer), flushes the artifact store,
-//! and joins every thread that can be joined.
+//! and joins every thread that can be joined.  The waits on that path block on
+//! the lifecycle's condition variable rather than sleeping: [`ServerHandle::wait`]
+//! wakes when drain begins, shutdown when the last decide worker exits (or at the
+//! drain deadline), and the watchdog when the server stops.  Connection threads
+//! still notice `Stopped` by their read and slot timeouts (`READ_POLL`,
+//! `SLOT_POLL`), which bound how soon an idle or waiting thread exits, not how soon
+//! a request is answered.
 
 use crate::fair::{FairConfig, FairScheduler, Job, Refusal, ResponseSlot};
 use crate::lifecycle::{Lifecycle, Phase, WorkerHeart};
@@ -49,7 +59,7 @@ use crate::stats::{ServerStats, ServerStatsSnapshot};
 use crate::tenant::{Tenant, TenantMap, DEFAULT_TENANT};
 use crate::{Bind, ServerConfig};
 use std::io::{BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
@@ -63,8 +73,17 @@ use xpsat_service::{
 /// How long a connection thread blocks in one socket read before re-checking the
 /// lifecycle phase.
 const READ_POLL: Duration = Duration::from_millis(50);
-/// How long the accept thread sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept thread backs off after a failed `accept` (say, `EMFILE`)
+/// before it tries again; a successful `accept` never sleeps.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// How often shutdown re-checks the threads it joins with a grace.  Runs only
+/// during shutdown; a connection thread still answering the `drain` that started
+/// it usually finishes within one poll.
+const JOIN_POLL: Duration = Duration::from_millis(1);
+/// How long the wake-up connect may take, and how long shutdown then waits for
+/// the accept thread.  A wake that failed to connect leaves the thread blocked in
+/// `accept()`; it is detached then.
+const ACCEPT_JOIN_GRACE: Duration = Duration::from_secs(1);
 /// How long a connection thread waits on a response slot per poll (it interleaves
 /// lifecycle and abandonment checks between polls).
 const SLOT_POLL: Duration = Duration::from_millis(25);
@@ -157,14 +176,6 @@ impl Listener {
             Listener::Unix(l) => Conn::Unix(l.accept()?.0),
         })
     }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-        }
-    }
 }
 
 /// One decide worker's heart + thread handle; the watchdog appends replacements.
@@ -216,7 +227,6 @@ impl Server {
                 Listener::Unix(UnixListener::bind(path)?)
             }
         };
-        listener.set_nonblocking(true)?;
         let local_addr = match &listener {
             Listener::Tcp(l) => Some(l.local_addr()?),
             #[cfg(unix)]
@@ -329,8 +339,23 @@ fn spawn_decide_worker(shared: &Arc<Shared>) {
         .push(WorkerSlot { heart, handle });
 }
 
+/// Marks a decide worker's heart exited and wakes shutdown's wait for the
+/// workers when the worker's loop ends, by return or by unwind.
+struct WorkerExit<'a> {
+    shared: &'a Shared,
+    heart: &'a WorkerHeart,
+}
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        self.heart.mark_exited();
+        self.shared.lifecycle.notify();
+    }
+}
+
 /// A decide worker: pull fair-scheduled jobs until the scheduler signals drain.
 fn decide_loop(shared: &Arc<Shared>, heart: &Arc<WorkerHeart>) {
+    let _exit = WorkerExit { shared, heart };
     while let Some(job) = shared.scheduler.next_job() {
         heart.begin();
         let response = execute_job(&job, shared);
@@ -380,11 +405,16 @@ fn isolate_panics<T>(shared: &Shared, handle: impl FnOnce() -> T) -> Result<T, J
     })
 }
 
-/// The watchdog: sample every decide worker's heart; abandon + replace the stuck.
+/// The watchdog: sample every decide worker's heart once a tick; abandon + replace
+/// the stuck.  Between samples it waits on the lifecycle, so it exits as soon as
+/// the server stops.
 fn watchdog_loop(shared: &Arc<Shared>, stuck: Duration) {
     let tick = (stuck / 8).clamp(Duration::from_millis(10), Duration::from_millis(250));
-    while shared.lifecycle.phase() != Phase::Stopped {
-        std::thread::sleep(tick);
+    let stopped = || shared.lifecycle.phase() == Phase::Stopped;
+    while !shared
+        .lifecycle
+        .wait_until(Some(Instant::now() + tick), stopped)
+    {
         let mut replacements = 0;
         {
             let slots = shared
@@ -473,9 +503,8 @@ impl ServerHandle {
     /// `xpathsat serve` sits in, so a remote `drain` brings the process down
     /// cleanly.
     pub fn wait(mut self) {
-        while self.shared.lifecycle.phase() == Phase::Running {
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        let lifecycle = &self.shared.lifecycle;
+        lifecycle.wait_until(None, || lifecycle.phase() != Phase::Running);
         self.finalize();
     }
 
@@ -487,25 +516,20 @@ impl ServerHandle {
         self.shared.drain();
 
         // Phase 1: let decide workers finish queued + in-flight jobs, bounded by
-        // the drain deadline.
+        // the drain deadline.  Each exiting worker wakes this wait.
         let deadline = Instant::now() + self.drain_deadline;
-        loop {
-            let all_done = self
-                .shared
-                .decide_workers
+        let workers = &self.shared.decide_workers;
+        self.shared.lifecycle.wait_until(Some(deadline), || {
+            workers
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .iter()
-                .all(|slot| slot.handle.is_finished());
-            if all_done || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+                .all(|slot| slot.heart.has_exited())
+        });
         // Phase 2: deadline (or no-op if already empty) — answer every still-queued
         // job `shutting_down` and force `next_job` to `None`.
         self.shared.scheduler.abort_queued();
-        self.shared.lifecycle.stop();
+        self.stop();
 
         // Phase 3: join what can be joined.  Workers wedged on a stuck job (the
         // watchdog already answered for their capacity) are detached, not waited on.
@@ -518,9 +542,10 @@ impl ServerHandle {
             .map(|slot| slot.handle)
             .collect();
         join_with_grace(worker_handles, Duration::from_secs(1));
-        if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
-        }
+        join_with_grace(
+            self.accept_thread.take().into_iter().collect(),
+            ACCEPT_JOIN_GRACE,
+        );
         join_with_grace(
             std::mem::take(&mut self.conn_threads),
             STOPPED_SLOT_GRACE + Duration::from_secs(1),
@@ -538,10 +563,33 @@ impl ServerHandle {
             let _ = std::fs::remove_file(path);
         }
     }
+
+    /// Move to `Stopped`, then wake the accept thread out of its blocking
+    /// `accept()` with one connection to the listener, which it drops unanswered.
+    /// A wildcard TCP bind is reached over loopback; a Unix socket through its
+    /// path, so this runs before the socket file is removed.  A failed wake is
+    /// ignored: shutdown joins the accept thread with a grace, not forever.
+    fn stop(&self) {
+        self.shared.lifecycle.stop();
+        if let Some(addr) = self.local_addr {
+            let ip = match addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                ip => ip,
+            };
+            let _ =
+                TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), ACCEPT_JOIN_GRACE);
+        }
+        #[cfg(unix)]
+        if let Some(path) = &self.socket_path {
+            let _ = UnixStream::connect(path);
+        }
+    }
 }
 
-/// Join every handle that finishes within `grace`; detach the rest (they exit on
-/// their own once their blocking call returns — there is no force-join in std).
+/// Join every handle that finishes within `grace`, checking every `JOIN_POLL`;
+/// detach the rest (they exit on their own once their blocking call returns —
+/// there is no force-join in std).
 fn join_with_grace(mut handles: Vec<JoinHandle<()>>, grace: Duration) {
     let deadline = Instant::now() + grace;
     loop {
@@ -557,7 +605,7 @@ fn join_with_grace(mut handles: Vec<JoinHandle<()>>, grace: Duration) {
             return;
         }
         handles = pending;
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(JOIN_POLL);
     }
 }
 
@@ -568,10 +616,11 @@ impl Drop for ServerHandle {
         }
         // A dropped handle still stops every thread promptly (without joining):
         // abort queued work so no connection thread is left waiting on a slot, then
-        // flip to Stopped so read polls and the accept loop exit.
+        // flip to Stopped so read polls exit, and wake the accept thread so it
+        // exits and closes the listener.
         self.shared.drain();
         self.shared.scheduler.abort_queued();
-        self.shared.lifecycle.stop();
+        self.stop();
         #[cfg(unix)]
         if let Some(path) = self.socket_path.take() {
             let _ = std::fs::remove_file(path);
@@ -579,11 +628,15 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Take connections until the server stops.  The phase is read after `accept()`
+/// returns, so the wake-up connection [`ServerHandle`] makes at `Stopped` ends the
+/// loop (and closes the listener) instead of being served.
 fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         match shared.lifecycle.phase() {
             Phase::Stopped => return,
-            phase => match listener.accept() {
+            phase => match accepted {
                 Ok(conn) => {
                     if phase != Phase::Running {
                         // Draining: tell the client to go elsewhere, then close.
@@ -601,8 +654,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
                         }
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             },
         }
     }
@@ -764,8 +816,8 @@ fn handle_request_line(line: &str, shared: &Arc<Shared>) -> Json {
 }
 
 /// Answer an admitted request on the connection thread when it needs no compute:
-/// a `check` or `batch` whose every class is already decided for the tenant
-/// ([`xpsat_service::ProtocolServer::handle_decided`]).  Its held cost is returned
+/// a `check` or `batch` whose every class is already decided for the tenant, or a
+/// `stats` ([`xpsat_service::ProtocolServer::handle_decided`]).  Its held cost is returned
 /// once it is answered.  `None` means the request needs the decide pool; nothing
 /// was counted for it yet.
 fn answer_inline(request: &Json, tenant: &Tenant, cost: u64, shared: &Shared) -> Option<Json> {

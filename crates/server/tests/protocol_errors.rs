@@ -206,9 +206,9 @@ fn hit_paths_are_identical_over_stdio_and_tcp() {
         parse(&stdio[lines.len() - 1]).to_string(),
         "transports diverged on request: {stats}"
     );
-    // The repeated checks, the repeated witness checks, the all-decided batch and
-    // the last check were answered on the connection thread.
-    assert_eq!(inline, Some(6));
+    // The repeated checks, the repeated witness checks, the all-decided batch, the
+    // last check and the `stats` itself were answered on the connection thread.
+    assert_eq!(inline, Some(7));
 }
 
 #[test]

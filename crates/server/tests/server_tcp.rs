@@ -3,9 +3,10 @@
 //! backpressure.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 use xpsat_server::{Bind, Server, ServerConfig, ServerHandle};
 use xpsat_service::Json;
 
@@ -431,53 +432,61 @@ fn mid_line_stall_drops_the_connection() {
     handle.shutdown();
 }
 
-#[test]
-fn decided_checks_do_not_wait_for_decide_capacity() {
-    let config = ServerConfig {
+/// A server with one decide worker and the debug ops on.
+fn start_one_decide_worker() -> (ServerHandle, String) {
+    start(ServerConfig {
         decide_workers: 1,
         debug_ops: true,
         shed_target_ms: None,
         ..ServerConfig::default()
-    };
-    let (handle, addr) = start(config);
-    let mut client = Client::connect(&addr);
-    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
-    let first = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
-    assert_eq!(field(&first, "cached").as_bool(), Some(false));
+    })
+}
 
-    // Park the only decide worker: two stalls under other tenants, until one runs
-    // and the other waits in the queue.  Only then is a stall certainly ahead of
-    // every request queued later (a single stall looks the same in `health` in
-    // the moment between its admission and its enqueue).
-    let stall_sent = std::time::Instant::now();
+/// Park the only decide worker: two 1500 ms stalls under other tenants, until one
+/// runs and the other waits in the queue.  Only then is a stall certainly ahead of
+/// every request queued later (a single stall looks the same in `health` in the
+/// moment between its admission and its enqueue).  Returns when the stalls were
+/// sent and their clients, which read the stalls' answers.
+fn park_the_decide_worker(addr: &str, client: &mut Client) -> (Instant, Vec<Client>) {
+    let stall_sent = Instant::now();
     let mut stallers = Vec::new();
     for tenant in ["staller", "staller2"] {
-        let mut staller = Client::connect(&addr);
+        let mut staller = Client::connect(addr);
         staller.send_raw(&format!(
             r#"{{"op":"debug_stall","stall_ms":1500,"tenant":"{tenant}"}}"#
         ));
         stallers.push(staller);
     }
-    let parked = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let parked = Instant::now() + Duration::from_secs(10);
     loop {
         let health = client.round_trip(r#"{"op":"health"}"#);
         if field(&health, "inflight_cost").as_u64() == Some(1)
             && field(&health, "queued_jobs").as_u64() == Some(1)
         {
-            break;
+            return (stall_sent, stallers);
         }
         assert!(
-            std::time::Instant::now() < parked,
+            Instant::now() < parked,
             "the stalls never parked the worker: {health}"
         );
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+#[test]
+fn decided_checks_do_not_wait_for_decide_capacity() {
+    let (handle, addr) = start_one_decide_worker();
+    let mut client = Client::connect(&addr);
+    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
+    let first = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    assert_eq!(field(&first, "cached").as_bool(), Some(false));
+    let (stall_sent, stallers) = park_the_decide_worker(&addr, &mut client);
 
     // A decided class is answered on the connection thread, without waiting.
-    let asked = std::time::Instant::now();
+    let asked = Instant::now();
     let again = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
     assert!(
-        asked.elapsed() < std::time::Duration::from_millis(300),
+        asked.elapsed() < Duration::from_millis(300),
         "a decided check waited {:?} for the stalled pool",
         asked.elapsed()
     );
@@ -487,13 +496,92 @@ fn decided_checks_do_not_wait_for_decide_capacity() {
     // A first-seen query needs the pool: it is answered only after the stall.
     let fresh = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a/b"}"#);
     assert_eq!(field(&fresh, "ok").as_bool(), Some(true));
-    assert!(stall_sent.elapsed() >= std::time::Duration::from_millis(1500));
+    assert!(stall_sent.elapsed() >= Duration::from_millis(1500));
     for mut staller in stallers {
         let stalled = staller.recv();
         assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
     }
     assert_eq!(handle.stats().requests_inline, 1);
     handle.shutdown();
+}
+
+#[test]
+fn stats_does_not_wait_for_decide_capacity() {
+    let (handle, addr) = start_one_decide_worker();
+    let mut client = Client::connect(&addr);
+    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
+    let (_, stallers) = park_the_decide_worker(&addr, &mut client);
+
+    // `stats` only reads counters: operators see a stuck server while it is stuck.
+    let asked = Instant::now();
+    let stats = client.round_trip(r#"{"op":"stats"}"#);
+    assert!(
+        asked.elapsed() < Duration::from_millis(300),
+        "stats waited {:?} for the stalled pool",
+        asked.elapsed()
+    );
+    assert_eq!(field(&stats, "dtds_registered").as_u64(), Some(1));
+    assert_eq!(field(&stats, "server_queued_jobs").as_u64(), Some(1));
+    assert_eq!(field(&stats, "server_requests_inline").as_u64(), Some(1));
+    for mut staller in stallers {
+        let stalled = staller.recv();
+        assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_delay() {
+    let (handle, addr) = start(ServerConfig::default());
+    // Each connection is taken as it arrives, so 20 in a row cost a few round
+    // trips.
+    let started = Instant::now();
+    for _ in 0..20 {
+        let health = Client::connect(&addr).round_trip(r#"{"op":"health"}"#);
+        assert_eq!(field(&health, "ok").as_bool(), Some(true));
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(100),
+        "20 fresh connections took {:?}",
+        started.elapsed()
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn dropped_handle_releases_its_address() {
+    let (handle, addr) = start(ServerConfig::default());
+    // The accept thread blocks in `accept()` on a server no client ever reached;
+    // dropping the handle must still end it, or it keeps the listener open.
+    drop(handle);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while let Err(e) = TcpListener::bind(&addr) {
+        assert!(Instant::now() < deadline, "{addr} still bound: {e}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn wait_returns_soon_after_a_remote_drain() {
+    let (handle, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr);
+    let health = client.round_trip(r#"{"op":"health"}"#);
+    assert_eq!(field(&health, "phase").as_str(), Some("running"));
+    let waiter = std::thread::spawn(move || {
+        handle.wait();
+        Instant::now()
+    });
+
+    let drained = Instant::now();
+    let drain = client.round_trip(r#"{"op":"drain"}"#);
+    assert_eq!(field(&drain, "draining").as_bool(), Some(true));
+    drop(client);
+    let returned = waiter.join().expect("wait returns");
+    assert!(
+        returned - drained < Duration::from_millis(100),
+        "wait returned {:?} after the drain",
+        returned - drained
+    );
 }
 
 #[test]

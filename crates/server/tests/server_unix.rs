@@ -84,6 +84,23 @@ fn health_answers_over_unix_socket() {
 }
 
 #[test]
+fn fresh_connections_are_served_without_an_accept_delay_over_unix_socket() {
+    let (handle, path) = start("fresh", ServerConfig::default());
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        let health = Client::connect(&path).round_trip(r#"{"op":"health"}"#);
+        assert_eq!(field(&health, "ok").as_bool(), Some(true));
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(100),
+        "20 fresh connections took {:?}",
+        started.elapsed()
+    );
+    handle.shutdown();
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+#[test]
 fn drain_and_shutdown_remove_the_socket_and_lose_nothing() {
     let (handle, path) = start("drain", ServerConfig::default());
     let mut client = Client::connect(&path);

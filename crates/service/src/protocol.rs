@@ -161,9 +161,10 @@ impl ProtocolServer {
         }
     }
 
-    /// Answer a `check` or `batch` whose every query was asked before and whose every
-    /// class is already decided against its DTD: the response and the counters are
-    /// exactly those of [`ProtocolServer::handle_request`].  This is the seam a
+    /// Answer a request that needs no compute: a `check` or `batch` whose every
+    /// query was asked before and whose every class is already decided against its
+    /// DTD, or a `stats`, which only reads counters.  The response and the counters
+    /// are exactly those of [`ProtocolServer::handle_request`].  This is the seam a
     /// caller uses to answer such requests on its own thread.
     ///
     /// `None` for anything else — another op, a malformed field, a first-seen
@@ -176,6 +177,7 @@ impl ProtocolServer {
         let answer = match request.get("op").and_then(Json::as_str)? {
             "check" => self.op_check(request, Reach::Decided),
             "batch" => self.op_batch(request, Reach::Decided),
+            "stats" => return try_read_recovering(&self.workspace).map(|ws| stats_response(&ws)),
             _ => return None,
         };
         answer.ok().flatten()
@@ -220,7 +222,7 @@ impl ProtocolServer {
             "check" => self.op_check(request, Reach::Compute).map(computed),
             "batch" => self.op_batch(request, Reach::Compute).map(computed),
             "classify" => self.op_classify(request),
-            "stats" => Ok(self.op_stats()),
+            "stats" => Ok(stats_response(&self.read_ws())),
             "debug_panic" if self.debug_ops => {
                 panic!("debug_panic requested by the client")
             }
@@ -496,36 +498,37 @@ impl ProtocolServer {
         Ok(response)
     }
 
-    fn op_stats(&self) -> Json {
-        let ws = self.read_ws();
-        let stats = ws.stats();
-        let (memo_hits, memo_built) = ws.negation_memo_stats();
-        let bailouts = Json::Obj(
-            xpsat_plan::BailReason::ALL
-                .iter()
-                .zip(stats.compile_bailouts)
-                .map(|(reason, count)| (reason.as_str().to_string(), Json::Num(count as f64)))
-                .collect(),
-        );
-        let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("stats".into()))];
-        for (name, count) in stats.counters() {
-            fields.push((name, Json::Num(count as f64)));
-            // The VM's coverage ratio follows the counters it is derived from.
-            if name == "vm_witness_fallbacks" {
-                fields.push(("vm_coverage", Json::Num(stats.vm_coverage())));
-            }
-        }
-        fields.extend([
-            ("compile_bailouts_by_reason", bailouts),
-            ("negation_memo_hits", Json::Num(memo_hits as f64)),
-            ("negation_memo_built", Json::Num(memo_built as f64)),
-        ]);
-        Json::obj(fields)
-    }
-
     fn effective_threads(&self) -> usize {
         crate::workspace::effective_threads(self.default_threads)
     }
+}
+
+/// The `stats` response: the workspace's counters, the compiled-VM coverage and the
+/// negation memo.
+fn stats_response(ws: &Workspace) -> Json {
+    let stats = ws.stats();
+    let (memo_hits, memo_built) = ws.negation_memo_stats();
+    let bailouts = Json::Obj(
+        xpsat_plan::BailReason::ALL
+            .iter()
+            .zip(stats.compile_bailouts)
+            .map(|(reason, count)| (reason.as_str().to_string(), Json::Num(count as f64)))
+            .collect(),
+    );
+    let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("stats".into()))];
+    for (name, count) in stats.counters() {
+        fields.push((name, Json::Num(count as f64)));
+        // The VM's coverage ratio follows the counters it is derived from.
+        if name == "vm_witness_fallbacks" {
+            fields.push(("vm_coverage", Json::Num(stats.vm_coverage())));
+        }
+    }
+    fields.extend([
+        ("compile_bailouts_by_reason", bailouts),
+        ("negation_memo_hits", Json::Num(memo_hits as f64)),
+        ("negation_memo_built", Json::Num(memo_built as f64)),
+    ]);
+    Json::obj(fields)
 }
 
 /// How far a `check` or `batch` may go for its decisions.
