@@ -320,6 +320,11 @@ fn run() {
 
     // Warm-workspace batch path vs the cold per-query loop.
     let (batch_dtd, batch_qs) = batch_corpus(batch_queries);
+    let batch_text = batch_dtd.to_string();
+    let register = |ws: &Workspace| {
+        ws.register_dtd(&batch_text)
+            .expect("canonical DTD text round-trips")
+    };
     let cold_loop_ns = time_per_query(iters, batch_qs.len(), || {
         for q in &batch_qs {
             std::hint::black_box(solver.decide(&batch_dtd, q));
@@ -330,8 +335,8 @@ fn run() {
             .map(|_| {
                 // Fresh workspace per iteration so the decision cache is empty and the
                 // measurement covers real solver work over shared artifacts.
-                let mut ws = Workspace::default();
-                let dtd_id = ws.register_dtd_value(batch_dtd.clone());
+                let ws = Workspace::default();
+                let dtd_id = register(&ws);
                 let ids: Vec<_> = batch_qs.iter().map(|q| ws.intern_path(q.clone())).collect();
                 let start = Instant::now();
                 std::hint::black_box(ws.decide_batch(dtd_id, &ids, threads, None, None).unwrap());
@@ -428,8 +433,8 @@ fn run() {
     let shared_hit_samples: Vec<f64> = (0..iters)
         .map(|_| {
             let shared = Arc::new(CanonicalCache::new());
-            let mut publisher = Workspace::default().with_canonical_cache(Arc::clone(&shared));
-            let d = publisher.register_dtd_value(batch_dtd.clone());
+            let publisher = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+            let d = register(&publisher);
             let ids: Vec<_> = batch_qs
                 .iter()
                 .map(|q| publisher.intern_path(q.clone()))
@@ -437,8 +442,8 @@ fn run() {
             publisher.decide_batch(d, &ids, 1, None, None).unwrap();
             shared_classes = shared.len();
 
-            let mut subscriber = Workspace::default().with_canonical_cache(Arc::clone(&shared));
-            let d = subscriber.register_dtd_value(batch_dtd.clone());
+            let subscriber = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+            let d = register(&subscriber);
             let ids: Vec<_> = batch_qs
                 .iter()
                 .map(|q| subscriber.intern_path(q.clone()))

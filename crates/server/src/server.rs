@@ -29,9 +29,8 @@
 //!   Every queued job is answered exactly once: by its worker, by the shedder, or
 //!   by the drain-abort path.  Every request that needs compute runs here: a
 //!   first-seen spelling or class, `register_dtd`, `classify` and the debug ops.
-//!   `stats` only reads counters, so the connection thread answers it as it does a
-//!   decided `check`; only a `register_dtd` holding or awaiting the tenant's
-//!   workspace sends it here.
+//!   `stats` only reads counters, so the connection thread answers it as it does
+//!   a decided `check`.
 //! * A **watchdog thread** samples each decide worker's [`WorkerHeart`]; a worker
 //!   stuck on one job past the threshold is abandoned (it exits after the job, its
 //!   late result discarded by the first-write-wins slot) and a replacement is
@@ -372,10 +371,9 @@ fn decide_loop(shared: &Arc<Shared>, heart: &Arc<WorkerHeart>) {
 
 /// Run one job against its tenant's protocol server, on a decide worker.
 fn execute_job(job: &Job, shared: &Shared) -> Json {
-    // `handle_request` takes `&self` (the protocol server locks internally: only
-    // `register_dtd` takes its write lock), so jobs of one tenant execute
-    // concurrently across workers and with the requests connection threads answer
-    // inline, a registration excepted.
+    // `handle_request` takes `&self` and holds no lock across a request, so jobs of
+    // one tenant, registrations included, execute concurrently across workers and
+    // with the requests connection threads answer inline.
     let response = isolate_panics(shared, || job.tenant.proto().handle_request(&job.request))
         .unwrap_or_else(|internal_error| internal_error);
     ServerStats::bump(&shared.stats.requests_served);

@@ -25,11 +25,11 @@ use crate::ServerConfig;
 pub const DEFAULT_TENANT: &str = "public";
 
 /// One tenant: its protocol server (and thus workspace).  Request handling is
-/// `&self` all the way down, with no outer lock.  `check`, `batch`, `classify` and
-/// `stats` share the workspace's read lock (interning goes through the workspace's
-/// own query table), so requests from many connections of one tenant, decides
-/// included, run *concurrently*.  Only `register_dtd` takes the write lock: it waits
-/// for the tenant's requests in flight, and requests arriving meanwhile wait for it.
+/// `&self` all the way down, with no outer lock: the workspace's DTD registry and
+/// query table each have a short lock of their own, held only to probe or append.
+/// Requests from many connections of one tenant — decides and registrations
+/// included — run *concurrently*: a registration never waits for a decide, nor a
+/// decide for a registration.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,

@@ -16,12 +16,16 @@
 //!   * worker panics and stalls never take the server down: the watchdog
 //!     restores capacity and the requester gets a structured answer;
 //!   * a drained server restarted over the same artifact store serves compiled
-//!     DTDs from disk.
+//!     DTDs from disk;
+//!   * a stream of DTD registrations never holds back a tenant's decided checks,
+//!     and every DTD text keeps one id.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpsat_server::{Bind, Server, ServerConfig, ServerHandle};
 use xpsat_service::Json;
@@ -456,6 +460,79 @@ fn mid_drain_restart_reuses_the_artifact_store() {
         second.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One client registers a seeded stream of small DTDs on tenant `reg`, repeats
+/// included, while others send that tenant a decided check until the stream ends.
+/// A registration holds no lock a check waits for, so every check is answered on
+/// its connection thread, and every DTD text keeps the one id it was first given.
+#[test]
+fn registration_stream_does_not_hold_back_decided_checks() {
+    for round in 0..rounds() {
+        let (handle, addr) = start(ServerConfig {
+            decide_workers: 2,
+            ..ServerConfig::default()
+        });
+        let mut setup = Client::connect(&addr);
+        setup.expect_ok(&format!(
+            r#"{{"op":"register_dtd","dtd":"{DTD}","tenant":"reg"}}"#
+        ));
+        let check = r#"{"op":"check","dtd_id":0,"query":"a[b]","tenant":"reg"}"#;
+        setup.expect_ok(check);
+        let inline_before = handle.stats().requests_inline;
+
+        let streaming = Arc::new(AtomicBool::new(true));
+        let registrar = {
+            let (addr, streaming) = (addr.clone(), Arc::clone(&streaming));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr);
+                let mut rng = Rng(0x7e61_5eed + round * 13);
+                let mut ids: HashMap<String, u64> = HashMap::new();
+                for _ in 0..40 {
+                    let k = rng.below(24);
+                    let text = format!("r -> e{k}*; e{k} -> f?; f -> #;");
+                    let reg = client.expect_ok(&format!(
+                        r#"{{"op":"register_dtd","dtd":"{text}","tenant":"reg"}}"#
+                    ));
+                    let id = reg.get("dtd_id").and_then(Json::as_u64).expect("dtd_id");
+                    assert_eq!(*ids.entry(text.clone()).or_insert(id), id, "{text}");
+                }
+                streaming.store(false, Ordering::SeqCst);
+                ids
+            })
+        };
+        let checkers: Vec<_> = (0..3)
+            .map(|_| {
+                let (addr, streaming) = (addr.clone(), Arc::clone(&streaming));
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(&addr);
+                    let mut sent = 0u64;
+                    while sent == 0 || streaming.load(Ordering::SeqCst) {
+                        let answer = client.expect_ok(check);
+                        assert_eq!(answer.get("cached").and_then(Json::as_bool), Some(true));
+                        sent += 1;
+                    }
+                    sent
+                })
+            })
+            .collect();
+
+        let ids = registrar.join().expect("registrar thread");
+        let checks: u64 = checkers
+            .into_iter()
+            .map(|c| c.join().expect("checker thread"))
+            .sum();
+        // Distinct texts got distinct ids after the setup DTD's 0.
+        let mut distinct: Vec<u64> = ids.values().copied().collect();
+        distinct.sort_unstable();
+        assert_eq!(distinct, (1..=ids.len() as u64).collect::<Vec<_>>());
+        assert_eq!(
+            handle.stats().requests_inline - inline_before,
+            checks,
+            "a decided check went to the decide pool (round {round})"
+        );
+        handle.shutdown();
+    }
 }
 
 /// Slow-loris connections (bytes trickling in, never a newline) mixed with real

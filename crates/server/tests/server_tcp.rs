@@ -5,7 +5,8 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpsat_server::{Bind, Server, ServerConfig, ServerHandle};
 use xpsat_service::Json;
@@ -527,6 +528,83 @@ fn stats_does_not_wait_for_decide_capacity() {
         let stalled = staller.recv();
         assert_eq!(field(&stalled, "ok").as_bool(), Some(true));
     }
+    handle.shutdown();
+}
+
+/// Send `line` on a fresh connection from a thread of its own; the flag is set when
+/// the answer arrives.
+fn send_in_background(
+    addr: &str,
+    line: String,
+) -> (Arc<AtomicBool>, std::thread::JoinHandle<Json>) {
+    let answered = Arc::new(AtomicBool::new(false));
+    let (addr, flag) = (addr.to_string(), Arc::clone(&answered));
+    let thread = std::thread::spawn(move || {
+        let answer = Client::connect(&addr).round_trip(&line);
+        flag.store(true, Ordering::SeqCst);
+        answer
+    });
+    (answered, thread)
+}
+
+#[test]
+fn decided_checks_are_answered_inline_while_a_dtd_registers() {
+    // Two decide workers: one takes a long decide, the other a registration.
+    let (handle, addr) = start(ServerConfig {
+        decide_workers: 2,
+        shed_target_ms: None,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr);
+    client.round_trip(r#"{"op":"register_dtd","dtd":"r -> a*; a -> a*, b?; b -> #;"}"#);
+    client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+
+    // Past 1000 steps an `a/a/…` chain leaves the compiled VM for the downward
+    // engine, which takes seconds in a debug build.
+    let chain = vec!["a"; 1100].join("/");
+    let (decided, long) = send_in_background(
+        &addr,
+        format!(r#"{{"op":"check","dtd_id":0,"query":"{chain}"}}"#),
+    );
+    // The long check is deciding once its query is interned.
+    let backstop = Instant::now() + Duration::from_secs(30);
+    while field(&client.round_trip(r#"{"op":"stats"}"#), "queries_interned").as_u64() != Some(2) {
+        assert!(Instant::now() < backstop, "the long check never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (registered, registrar) = send_in_background(
+        &addr,
+        r#"{"op":"register_dtd","dtd":"r -> c*; c -> #;"}"#.to_string(),
+    );
+    // Wait until the registration is done or has left the queue for a worker.
+    while !registered.load(Ordering::SeqCst) {
+        let health = client.round_trip(r#"{"op":"health"}"#);
+        if field(&health, "inflight_cost").as_u64() == Some(2)
+            && field(&health, "queued_jobs").as_u64() == Some(0)
+        {
+            std::thread::sleep(Duration::from_millis(20));
+            break;
+        }
+        assert!(Instant::now() < backstop, "the registration never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let inline = handle.stats().requests_inline;
+    let again = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+    assert_eq!(field(&again, "cached").as_bool(), Some(true));
+    assert_eq!(
+        handle.stats().requests_inline,
+        inline + 1,
+        "the decided check was sent to the decide pool"
+    );
+    assert!(
+        !decided.load(Ordering::SeqCst),
+        "the decided check was answered only after the long decide"
+    );
+    let reg = registrar.join().unwrap();
+    assert_eq!(field(&reg, "dtd_id").as_u64(), Some(1), "{reg}");
+    let long = long.join().unwrap();
+    assert_eq!(field(&long, "result").as_str(), Some("satisfiable"));
     handle.shutdown();
 }
 

@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn artifacts_are_computed_once_per_distinct_dtd() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let a = ws.register_dtd(DTD).unwrap();
         let b = ws.register_dtd(DTD).unwrap();
         assert_eq!(a, b);
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn artifacts_agree_with_direct_computation() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let id = ws.register_dtd(DTD).unwrap();
         let artifacts = ws.artifacts(id).unwrap();
         let direct = parse_dtd(DTD).unwrap();
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn decide_matches_solver_and_memoises() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let dtd_id = ws.register_dtd(DTD).unwrap();
         let dtd = parse_dtd(DTD).unwrap();
         let solver = Solver::default();
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn structurally_identical_spellings_share_one_decision() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(DTD).unwrap();
         let q1 = ws.intern("a[b and not(c)]").unwrap();
         let q2 = ws.intern("a[not(c)][b]").unwrap();
@@ -205,7 +205,7 @@ mod tests {
         // A spelling can be another spelling's canonical text: `a[b and c]` is the
         // class text of `a[c][b]`, interned first.  All three spellings get their
         // own ids and share the first one's class.
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(DTD).unwrap();
         let ids: Vec<QueryId> = ["a[c][b]", "a[b and c]", "a[b][c]"]
             .iter()
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_error() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let q = ws.intern("a").unwrap();
         assert!(matches!(
             ws.decide(DtdId(7), q),
@@ -261,7 +261,7 @@ mod tests {
     fn batch_is_deterministic_across_thread_counts() {
         let texts = ["a/b", "a[b]", "a[not(b)]", "a/b", "c", "a[b or c]", "b/d"];
         let setup = || {
-            let mut ws = Workspace::default();
+            let ws = Workspace::default();
             let d = ws.register_dtd(DTD).unwrap();
             let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
             (ws, d, ids)
@@ -303,7 +303,7 @@ mod tests {
         // second one does not see the first one's work).
         let subscriber = || {
             let shared = Arc::new(CanonicalCache::new());
-            let mut publisher = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+            let publisher = Workspace::default().with_canonical_cache(Arc::clone(&shared));
             let d = publisher.register_dtd(dtd).unwrap();
             for text in ["a[b and c]", "a/b"] {
                 let q = publisher.intern(text).unwrap();

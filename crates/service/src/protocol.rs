@@ -33,12 +33,8 @@
 //! malformed line never kills the loop.
 
 use crate::json::Json;
-use crate::workspace::{
-    engine_slug, read_recovering, try_read_recovering, write_recovering, DtdId, ServedDecision,
-    ServiceError, Workspace,
-};
+use crate::workspace::{engine_slug, DtdId, ServedDecision, ServiceError, Workspace};
 use std::io::{BufRead, Write};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use xpsat_core::{Exhausted, Satisfiability};
 
@@ -47,14 +43,14 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A stateful protocol server over one workspace.
 ///
-/// Request handling takes `&self`: the workspace sits behind a [`RwLock`] whose write
-/// lock is taken only by `register_dtd`.  `check`, `batch`, `classify` and `stats` run
-/// under the read lock alone — interning goes through the workspace's own query
-/// table — so one tenant's requests, decides included, run concurrently; only a
-/// registration waits for the requests in flight (and holds later ones back).
+/// Request handling takes `&self`, and so does every [`Workspace`] operation: the
+/// workspace's DTD registry and query table each sit behind their own short lock.
+/// One tenant's requests — decides and DTD registrations included — run
+/// concurrently: a registration never waits for a decide, nor a decide for a
+/// registration.
 #[derive(Debug)]
 pub struct ProtocolServer {
-    workspace: RwLock<Workspace>,
+    workspace: Workspace,
     default_threads: usize,
     default_deadline_ms: Option<u64>,
     default_max_steps: Option<u64>,
@@ -79,26 +75,13 @@ impl ProtocolServer {
     /// artifact store or carrying a residency bound).
     pub fn with_workspace(workspace: Workspace, default_threads: usize) -> ProtocolServer {
         ProtocolServer {
-            workspace: RwLock::new(workspace),
+            workspace,
             default_threads,
             default_deadline_ms: None,
             default_max_steps: None,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             debug_ops: false,
         }
-    }
-
-    /// Read access to the workspace (shared with in-flight decides).  Everything
-    /// guarded holds plain data whose every intermediate state is valid, so poison
-    /// from a panicked request is recovered rather than propagated.
-    fn read_ws(&self) -> RwLockReadGuard<'_, Workspace> {
-        read_recovering(&self.workspace)
-    }
-
-    /// Write access to the workspace — held only by DTD registration, never across a
-    /// decide.
-    fn write_ws(&self) -> RwLockWriteGuard<'_, Workspace> {
-        write_recovering(&self.workspace)
     }
 
     /// Enable the fault-injection ops (`debug_panic`), used by the resilience tests
@@ -131,11 +114,9 @@ impl ProtocolServer {
         self.max_line_bytes
     }
 
-    /// The workspace behind the server, as a read guard.  `check`, `batch`,
-    /// `classify` and `stats` are served while it is held; a `register_dtd` waits
-    /// until it is dropped.
-    pub fn workspace(&self) -> RwLockReadGuard<'_, Workspace> {
-        self.read_ws()
+    /// The workspace behind the server.
+    pub fn workspace(&self) -> &Workspace {
+        &self.workspace
     }
 
     /// Handle one request line, producing one response line (without the newline).
@@ -168,16 +149,17 @@ impl ProtocolServer {
     /// caller uses to answer such requests on its own thread.
     ///
     /// `None` for anything else — another op, a malformed field, a first-seen
-    /// spelling, an undecided class, or a workspace that a `register_dtd` holds or
-    /// waits for.  A declined request has counted and inserted nothing, so the caller
-    /// hands it to [`ProtocolServer::handle_request`] unchanged.  Nothing reached from
-    /// here can intern, compile, run the VM or an engine, or register a DTD.
+    /// spelling, an unknown DTD or an undecided class: only what the request itself
+    /// carries declines it, never another request in flight.  A declined request has
+    /// counted and inserted nothing, so the caller hands it to
+    /// [`ProtocolServer::handle_request`] unchanged.  Nothing reached from here can
+    /// intern, compile, run the VM or an engine, or register a DTD.
     pub fn handle_decided(&self, request: &Json) -> Option<Json> {
         validate_deadline_ms(request).ok()?;
         let answer = match request.get("op").and_then(Json::as_str)? {
             "check" => self.op_check(request, Reach::Decided),
             "batch" => self.op_batch(request, Reach::Decided),
-            "stats" => return try_read_recovering(&self.workspace).map(|ws| stats_response(&ws)),
+            "stats" => return Some(stats_response(&self.workspace)),
             _ => return None,
         };
         answer.ok().flatten()
@@ -222,7 +204,7 @@ impl ProtocolServer {
             "check" => self.op_check(request, Reach::Compute).map(computed),
             "batch" => self.op_batch(request, Reach::Compute).map(computed),
             "classify" => self.op_classify(request),
-            "stats" => Ok(stats_response(&self.read_ws())),
+            "stats" => Ok(stats_response(&self.workspace)),
             "debug_panic" if self.debug_ops => {
                 panic!("debug_panic requested by the client")
             }
@@ -253,7 +235,7 @@ impl ProtocolServer {
 
     fn op_register_dtd(&self, request: &Json) -> Result<Json, ProtocolError> {
         let text = str_field(request, "dtd")?;
-        let outcome = self.write_ws().register_dtd_report(text)?;
+        let outcome = self.workspace.register_dtd_report(text)?;
         Ok(Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("op", Json::Str("register_dtd".into())),
@@ -360,10 +342,10 @@ impl ProtocolServer {
     /// query's canonical spelling.  `texts` yields each query's text, or the error
     /// its field raises, interned one by one as the request lists them.
     ///
-    /// [`Reach::Decided`] never waits for the workspace lock and never interns,
-    /// compiles or decides ([`Workspace::serve_decided`]): it answers `Ok(None)`
-    /// unless every query was asked before and its class is decided.  Its errors come
-    /// from the request's own fields, before anything is counted.
+    /// [`Reach::Decided`] never interns, compiles or decides
+    /// ([`Workspace::serve_decided`]): it answers `Ok(None)` unless every query was
+    /// asked before and its class is decided.  Its errors come from the request's own
+    /// fields, before anything is counted.
     fn decide_texts<'a>(
         &self,
         request: &Json,
@@ -372,18 +354,13 @@ impl ProtocolServer {
         texts: impl IntoIterator<Item = Result<&'a str, ProtocolError>>,
         threads: usize,
     ) -> Result<Option<Vec<(String, ServedDecision)>>, ProtocolError> {
+        let ws = &self.workspace;
         if reach == Reach::Decided {
             let texts = texts.into_iter().collect::<Result<Vec<_>, _>>()?;
-            let Some(ws) = try_read_recovering(&self.workspace) else {
-                return Ok(None);
-            };
             return Ok(ws.serve_decided(dtd, &texts));
         }
         let deadline = self.deadline_of(request);
         let max_steps = self.max_steps_of(request);
-        // Interning and deciding both run under the read lock, concurrently with
-        // the tenant's other requests.
-        let ws = self.read_ws();
         let mut ids = Vec::new();
         for text in texts {
             ids.push(ws.intern(text?)?);
@@ -412,7 +389,7 @@ impl ProtocolServer {
         // With an optional "query", classify also reports the query's canonical
         // form, its structural hashes and the compiled-program shape against this
         // DTD — the introspection hook for the cross-tenant canonical cache.
-        let ws = self.read_ws();
+        let ws = &self.workspace;
         let query_fields = match request.get("query").and_then(Json::as_str) {
             None => None,
             Some(text) => {
@@ -857,6 +834,7 @@ fn dtd_id_field(request: &Json) -> Result<DtdId, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn field<'a>(response: &'a Json, key: &str) -> &'a Json {
         response
@@ -925,34 +903,54 @@ mod tests {
     #[test]
     fn requests_are_served_while_the_workspace_is_read() {
         let server = ProtocolServer::new(1);
-        let reg = server.handle_line(r#"{"op":"register_dtd","dtd":"r -> a*; a -> b?; b -> #;"}"#);
-        assert!(reg.contains(r#""ok":true"#), "{reg}");
-        server.handle_line(r#"{"op":"check","dtd_id":0,"query":"a"}"#);
-        let requests = [
-            r#"{"op":"check","dtd_id":0,"query":"a"}"#,
-            r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#,
-            r#"{"op":"batch","dtd_id":0,"queries":["a/b","b"],"threads":1}"#,
-            r#"{"op":"classify","dtd_id":0,"query":"a[b][b]"}"#,
-        ];
-        let server = &server;
+        server.handle_line(r#"{"op":"register_dtd","dtd":"r -> a*; a -> a*, b?; b -> #;"}"#);
+        server.handle_line(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
+        // A decide that runs for seconds in a debug build, with no deadline: past
+        // 1000 steps an `a/a/…` chain leaves the compiled VM for the downward
+        // engine, which is quadratic in the chain.
+        let chain = vec!["a"; 1100].join("/");
+        let long = format!(r#"{{"op":"check","dtd_id":0,"query":"{chain}"}}"#);
+        let finished = AtomicBool::new(false);
+        let (server, finished) = (&server, &finished);
         std::thread::scope(|scope| {
-            // A reader in flight, as a long decide would be: none of these requests
-            // may wait for it.
-            let guard = server.workspace();
-            let (sender, receiver) = std::sync::mpsc::channel();
-            let client = scope.spawn(move || {
-                for request in requests {
-                    sender.send(server.handle_line(request)).unwrap();
-                }
-            });
-            for request in requests {
-                let response = receiver
-                    .recv_timeout(Duration::from_secs(10))
-                    .unwrap_or_else(|_| panic!("no answer to {request} under a read guard"));
+            let decide = std::thread::Builder::new()
+                .stack_size(xpsat_core::DECIDE_STACK_BYTES)
+                .spawn_scoped(scope, move || {
+                    let answer = server.handle_line(&long);
+                    finished.store(true, Ordering::SeqCst);
+                    answer
+                })
+                .unwrap();
+            // The long check is deciding once its query is interned.
+            while server.workspace().stats().queries_interned < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let reg = server.handle_line(r#"{"op":"register_dtd","dtd":"r -> c*; c -> #;"}"#);
+            assert!(reg.contains(r#""dtd_id":1"#), "{reg}");
+            let decided = Json::parse(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#).unwrap();
+            let check = server
+                .handle_decided(&decided)
+                .expect("a decided check is answered without compute");
+            assert_eq!(field(&check, "cached").as_bool(), Some(true));
+            let stats = server
+                .handle_decided(&Json::parse(r#"{"op":"stats"}"#).unwrap())
+                .expect("stats is answered without compute");
+            assert_eq!(field(&stats, "dtds_registered").as_u64(), Some(2));
+            // Requests that intern, decide or compile do not wait either.
+            for request in [
+                r#"{"op":"check","dtd_id":0,"query":"a/b"}"#,
+                r#"{"op":"batch","dtd_id":1,"queries":["c","a"],"threads":1}"#,
+                r#"{"op":"classify","dtd_id":0,"query":"a[b][b]"}"#,
+            ] {
+                let response = server.handle_line(request);
                 assert!(response.contains(r#""ok":true"#), "{response}");
             }
-            drop(guard);
-            client.join().unwrap();
+            assert!(
+                !finished.load(Ordering::SeqCst),
+                "the requests were answered only after the long decide finished"
+            );
+            let answer = decide.join().unwrap();
+            assert!(answer.contains(r#""result":"satisfiable""#), "{answer}");
         });
     }
 

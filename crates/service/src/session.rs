@@ -3,7 +3,8 @@
 //! A session tracks a *current* DTD so callers (the CLI, the protocol loop, examples)
 //! can register once and then fire query strings at it without handling ids.  All
 //! caching lives in the underlying workspace; a session adds no state beyond the
-//! current-DTD cursor.
+//! current-DTD cursor, which only [`Session::load_dtd`] and [`Session::use_dtd`]
+//! move.
 
 use crate::workspace::{DtdId, ServedDecision, ServiceError, Workspace};
 
@@ -40,7 +41,7 @@ impl Session {
     }
 
     /// Decide one query (given as text) against the current DTD.
-    pub fn check(&mut self, query: &str) -> Result<ServedDecision, ServiceError> {
+    pub fn check(&self, query: &str) -> Result<ServedDecision, ServiceError> {
         let dtd = self.require_current()?;
         let q = self.workspace.intern(query)?;
         self.workspace.decide(dtd, q)
@@ -49,7 +50,7 @@ impl Session {
     /// Decide a batch of queries (given as text) against the current DTD, using
     /// `threads` worker threads.  Result order matches input order.
     pub fn check_batch<S: AsRef<str>>(
-        &mut self,
+        &self,
         queries: &[S],
         threads: usize,
     ) -> Result<Vec<ServedDecision>, ServiceError> {
@@ -101,7 +102,7 @@ mod tests {
 
     #[test]
     fn check_without_dtd_errors() {
-        let mut session = Session::new();
+        let session = Session::new();
         let err = session.check("a").unwrap_err();
         assert!(matches!(err, crate::ServiceError::NoCurrentDtd));
         assert!(err.to_string().contains("no DTD loaded"), "{err}");

@@ -1035,10 +1035,10 @@ mod tests {
     fn workspaces_share_entries_through_one_store() {
         let dir = scratch_dir();
         let store = ArtifactStore::open(&dir).unwrap();
-        let mut first = Workspace::default().with_store(store.clone());
+        let first = Workspace::default().with_store(store.clone());
         first.register_dtd(DTD).unwrap();
         assert_eq!(first.stats().artifact_store_writes, 1);
-        let mut second = Workspace::default().with_store(store);
+        let second = Workspace::default().with_store(store);
         let id = second.register_dtd(DTD).unwrap();
         let stats = second.stats();
         assert_eq!(stats.artifact_store_hits, 1);

@@ -36,9 +36,11 @@
 //! compute it and publish the result.  `decide` is a one-query batch.
 //! [`Workspace::serve_decided`] runs the same pipeline lookup-only: it answers only
 //! when every query is an interned spelling of a decided class, and otherwise
-//! declines having counted and inserted nothing.  Interning and deciding take
-//! `&self`, so one workspace can be shared across batch workers and concurrent
-//! requests; only DTD registration needs `&mut`.  Decisions are stored and served as
+//! declines having counted and inserted nothing.  Every operation takes `&self`, so
+//! one workspace is shared across batch workers and concurrent requests.  The DTD
+//! registry is append-only, like the query table: a registration parses and builds
+//! with no lock held and only then appends under the registry's own short lock, so
+//! it never waits for, or holds back, a decide.  Decisions are stored and served as
 //! [`Arc<Decision>`]: a cache hit is a pointer bump, never a witness-document clone.
 
 use crate::canonical::{CanonicalCache, DtdKey, StoreEntry};
@@ -48,7 +50,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::time::Instant;
 use xpsat_core::{Budget, Decision, EngineKind, Exhausted, Solver};
@@ -64,7 +66,7 @@ thread_local! {
 
 /// Lock a mutex, recovering from poison.  Everything guarded this way (the served
 /// table, the decision store's stripes, residency slots, the query table and the
-/// protocol's workspace) holds plain data whose every intermediate state is valid,
+/// DTD registry) holds plain data whose every intermediate state is valid,
 /// so a panic while the lock was held — e.g. a panicking engine isolated by the
 /// server's `catch_unwind` — must not wedge the structure for every later request.
 pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -74,22 +76,12 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// [`lock_recovering`] for the read side of a reader-writer lock.
-pub(crate) fn read_recovering<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+fn read_recovering<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// [`read_recovering`] that gives up instead of waiting: `None` while a writer holds
-/// the lock or waits for it.
-pub(crate) fn try_read_recovering<T>(lock: &RwLock<T>) -> Option<RwLockReadGuard<'_, T>> {
-    match lock.try_read() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
 /// [`lock_recovering`] for the write side of a reader-writer lock.
-pub(crate) fn write_recovering<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+fn write_recovering<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -326,13 +318,22 @@ struct DtdSlot {
     last_used: AtomicU64,
 }
 
+/// The DTD registry: every registered DTD by id, and its id by canonical text.  It
+/// only grows, and a slot is cloned out before anything slow touches it.
+#[derive(Debug, Default)]
+struct DtdTable {
+    slots: Vec<Arc<DtdSlot>>,
+    by_canonical: HashMap<String, DtdId>,
+}
+
 /// The satisfiability service: DTD registry, query interner, served-class table over
 /// the decision store.
 #[derive(Debug, Default)]
 pub struct Workspace {
     solver: Solver,
-    dtds: Vec<DtdSlot>,
-    dtd_by_canonical: HashMap<String, DtdId>,
+    /// The DTD registry, behind its own lock.  It is held only to probe, push or
+    /// clone a slot out: never across a parse, a build, store I/O or a decide.
+    dtds: RwLock<DtdTable>,
     /// The query interner, behind its own lock so interning takes `&self`.  It is
     /// never held while canonicalising or deciding, and an intern leaves it valid at
     /// every step (a query is pushed before its spelling names it).
@@ -370,7 +371,11 @@ impl Workspace {
     /// registered before the swap are re-keyed in the new store; the classes served
     /// to this workspace before it stay behind in the old one.
     pub fn with_canonical_cache(mut self, cache: Arc<CanonicalCache>) -> Workspace {
-        for slot in &mut self.dtds {
+        let table = self.dtds.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for slot in &mut table.slots {
+            // Slots are cloned out only for the length of a call, and this workspace
+            // is owned here: no clone is alive.
+            let slot = Arc::get_mut(slot).expect("no registry slot is shared");
             slot.key = cache.dtd_key(&slot.canonical);
         }
         self.served = Mutex::default();
@@ -392,52 +397,62 @@ impl Workspace {
 
     /// Register a DTD from its textual form, computing all artifacts, or return the
     /// existing id when an identical DTD (same canonical form) is already registered.
-    pub fn register_dtd(&mut self, text: &str) -> Result<DtdId, ServiceError> {
+    pub fn register_dtd(&self, text: &str) -> Result<DtdId, ServiceError> {
         self.register_dtd_report(text).map(|outcome| outcome.id)
     }
 
     /// [`Workspace::register_dtd`], reporting whether the DTD was deduplicated and
     /// whether its artifacts came out of the persistent store.
-    pub fn register_dtd_report(&mut self, text: &str) -> Result<RegisterOutcome, ServiceError> {
+    ///
+    /// The DTD is parsed, canonicalised and materialised (loaded from the store or
+    /// built, then saved) with no lock held; only the append takes the registry's
+    /// write lock, re-probing under it.  When two registrations of one text race,
+    /// the first append keeps its id and the other counts as a reuse.
+    pub fn register_dtd_report(&self, text: &str) -> Result<RegisterOutcome, ServiceError> {
         let dtd = parse_dtd(text).map_err(|e| ServiceError::DtdParse {
             message: e.message.clone(),
             span: (e.span.offset, e.span.len),
         })?;
-        Ok(self.register_dtd_value_report(dtd))
-    }
-
-    /// Register an already-parsed DTD (same dedup and artifact rules).
-    pub fn register_dtd_value(&mut self, dtd: Dtd) -> DtdId {
-        self.register_dtd_value_report(dtd).id
-    }
-
-    /// [`Workspace::register_dtd_value`] with the full [`RegisterOutcome`].
-    pub fn register_dtd_value_report(&mut self, dtd: Dtd) -> RegisterOutcome {
         let canonical = dtd.to_string();
-        if let Some(&id) = self.dtd_by_canonical.get(&canonical) {
-            CacheStats::bump(&self.stats.dtds_reused);
-            return RegisterOutcome {
-                id,
-                reused: true,
-                from_store: false,
-            };
+        let registered = read_recovering(&self.dtds)
+            .by_canonical
+            .get(&canonical)
+            .copied();
+        if let Some(id) = registered {
+            return Ok(self.reused(id));
         }
         let (artifacts, from_store) = self.materialize(dtd, canonical.clone());
+        let key = self.canonical.dtd_key(&canonical);
+        let mut table = write_recovering(&self.dtds);
+        if let Some(&id) = table.by_canonical.get(&canonical) {
+            return Ok(self.reused(id));
+        }
         CacheStats::bump(&self.stats.dtds_registered);
-        let id = DtdId(self.dtds.len());
-        self.dtds.push(DtdSlot {
-            key: self.canonical.dtd_key(&canonical),
+        let id = DtdId(table.slots.len());
+        table.slots.push(Arc::new(DtdSlot {
+            key,
             canonical: canonical.clone(),
             resident: Mutex::new(Some(artifacts)),
             last_used: AtomicU64::new(self.touch()),
-        });
+        }));
+        table.by_canonical.insert(canonical, id);
+        drop(table);
         CacheStats::bump(&self.stats.resident_dtds);
-        self.dtd_by_canonical.insert(canonical, id);
         self.enforce_residency(id);
-        RegisterOutcome {
+        Ok(RegisterOutcome {
             id,
             reused: false,
             from_store,
+        })
+    }
+
+    /// Count a registration of an already registered DTD.
+    fn reused(&self, id: DtdId) -> RegisterOutcome {
+        CacheStats::bump(&self.stats.dtds_reused);
+        RegisterOutcome {
+            id,
+            reused: true,
+            from_store: false,
         }
     }
 
@@ -498,9 +513,12 @@ impl Workspace {
         let Some(bound) = self.resident_bound else {
             return;
         };
+        // The scan takes slot locks only by `try_lock`, so holding the registry's
+        // read lock across it never waits on a rematerialisation.
+        let table = read_recovering(&self.dtds);
         while self.resident_dtds() > bound {
-            let mut victim: Option<(usize, u64)> = None;
-            for (index, slot) in self.dtds.iter().enumerate() {
+            let mut victim: Option<(&DtdSlot, u64)> = None;
+            for (index, slot) in table.slots.iter().enumerate() {
                 if index == just_used.0 {
                     continue;
                 }
@@ -508,21 +526,21 @@ impl Workspace {
                     if resident.is_some() {
                         let stamp = slot.last_used.load(Ordering::Relaxed);
                         if victim.is_none_or(|(_, best)| stamp < best) {
-                            victim = Some((index, stamp));
+                            victim = Some((slot, stamp));
                         }
                     }
                 }
             }
-            let Some((index, stamp)) = victim else {
+            let Some((slot, stamp)) = victim else {
                 return;
             };
-            let Ok(mut resident) = self.dtds[index].resident.try_lock() else {
+            let Ok(mut resident) = slot.resident.try_lock() else {
                 return;
             };
             // Re-check under the lock: a concurrent touch since the scan means the
             // slot is no longer the LRU — give up this round rather than evict hot
             // artifacts.
-            if resident.is_some() && self.dtds[index].last_used.load(Ordering::Relaxed) == stamp {
+            if resident.is_some() && slot.last_used.load(Ordering::Relaxed) == stamp {
                 *resident = None;
                 drop(resident);
                 self.stats.resident_dtds.fetch_sub(1, Ordering::Relaxed);
@@ -533,9 +551,20 @@ impl Workspace {
         }
     }
 
+    /// The decision-store key of a registered DTD.
+    fn dtd_key(&self, id: DtdId) -> Result<DtdKey, ServiceError> {
+        read_recovering(&self.dtds)
+            .slots
+            .get(id.0)
+            .map(|slot| slot.key)
+            .ok_or(ServiceError::UnknownDtd(id.0))
+    }
+
     /// The artifacts of a registered DTD, rematerialising them if they were evicted.
     pub fn artifacts(&self, id: DtdId) -> Result<Arc<DtdArtifacts>, ServiceError> {
-        let slot = self.dtds.get(id.0).ok_or(ServiceError::UnknownDtd(id.0))?;
+        // Cloned out, so no registry lock is held while rematerialising.
+        let slot = read_recovering(&self.dtds).slots.get(id.0).cloned();
+        let slot = slot.ok_or(ServiceError::UnknownDtd(id.0))?;
         slot.last_used.store(self.touch(), Ordering::Relaxed);
         let mut resident = lock_recovering(&slot.resident);
         if let Some(artifacts) = resident.as_ref() {
@@ -555,7 +584,7 @@ impl Workspace {
 
     /// Number of registered (distinct) DTDs.
     pub fn dtd_count(&self) -> usize {
-        self.dtds.len()
+        read_recovering(&self.dtds).slots.len()
     }
 
     /// Number of compiled artifacts currently resident in memory.
@@ -684,7 +713,7 @@ impl Workspace {
         deadline: Option<Instant>,
         max_steps: Option<u64>,
     ) -> Result<Vec<ServedDecision>, ServiceError> {
-        self.check_dtd(dtd)?;
+        let key = self.dtd_key(dtd)?;
         let classes = {
             let table = read_recovering(&self.queries);
             queries
@@ -697,7 +726,7 @@ impl Workspace {
             unique.iter().map(|_| OnceLock::new()).collect();
         let mut misses = Vec::new();
         for (&class, slot) in unique.iter().zip(&decided) {
-            match self.lookup(dtd, class) {
+            match self.lookup(dtd, key, class) {
                 Lookup::Hit(decision) => {
                     let _ = slot.set(decision);
                 }
@@ -741,7 +770,7 @@ impl Workspace {
             spellings.push(spelling);
             ids.push(id?);
         }
-        self.check_dtd(dtd).ok()?;
+        let key = self.dtd_key(dtd).ok()?;
         let classes = {
             let table = read_recovering(&self.queries);
             ids.iter()
@@ -752,7 +781,7 @@ impl Workspace {
         let unique = unique_classes(&classes);
         let found = unique
             .iter()
-            .map(|class| self.probe(dtd, class))
+            .map(|class| self.probe(dtd, key, class))
             .collect::<Option<Vec<_>>>()?;
         // Every class is decided: count what interning each text (a reused
         // spelling) and deciding the batch count.
@@ -799,19 +828,9 @@ impl Workspace {
             .collect()
     }
 
-    /// Fail with [`ServiceError::UnknownDtd`] unless `dtd` is registered.
-    fn check_dtd(&self, dtd: DtdId) -> Result<(), ServiceError> {
-        if dtd.0 < self.dtds.len() {
-            Ok(())
-        } else {
-            Err(ServiceError::UnknownDtd(dtd.0))
-        }
-    }
-
-    /// The decision-store entry of a class against a registered DTD.
-    fn class_entry(&self, dtd: DtdId, class: &QueryClass) -> Arc<StoreEntry> {
-        self.canonical
-            .entry(self.dtds[dtd.0].key, class.canonical_hash, &class.text)
+    /// The decision-store entry of a class against the DTD keyed `key`.
+    fn class_entry(&self, key: DtdKey, class: &QueryClass) -> Arc<StoreEntry> {
+        self.canonical.entry(key, class.canonical_hash, &class.text)
     }
 
     /// Remember that this workspace has been served a decided class.
@@ -821,17 +840,17 @@ impl Workspace {
             .or_insert_with(|| Arc::clone(entry));
     }
 
-    /// Look a class of a registered DTD up among those decided, counting the hit
-    /// (see [`Workspace::count_hit`]): first in the classes this workspace was
-    /// served, then in the decision store, whose entry for the class a miss
-    /// creates for [`Workspace::compute_and_publish`].  Neither probe touches the
-    /// DTD's artifacts, so an evicted DTD's decided classes are served without
-    /// rematerialising it.
-    fn lookup(&self, dtd: DtdId, class: &QueryClass) -> Lookup {
+    /// Look a class of a registered DTD (keyed `key` in the decision store) up
+    /// among those decided, counting the hit (see [`Workspace::count_hit`]): first
+    /// in the classes this workspace was served, then in the decision store, whose
+    /// entry for the class a miss creates for [`Workspace::compute_and_publish`].
+    /// Neither probe touches the DTD's artifacts, so an evicted DTD's decided
+    /// classes are served without rematerialising it.
+    fn lookup(&self, dtd: DtdId, key: DtdKey, class: &QueryClass) -> Lookup {
         let found = match self.served_decision(dtd, class.rep) {
             Some(decision) => Found::Served(decision),
             None => {
-                let entry = self.class_entry(dtd, class);
+                let entry = self.class_entry(key, class);
                 if entry.decision.get().is_none() {
                     return Lookup::Miss(entry);
                 }
@@ -843,12 +862,12 @@ impl Workspace {
 
     /// [`Workspace::lookup`] that counts nothing and inserts nothing: `None` when the
     /// class is undecided.
-    fn probe(&self, dtd: DtdId, class: &QueryClass) -> Option<Found> {
+    fn probe(&self, dtd: DtdId, key: DtdKey, class: &QueryClass) -> Option<Found> {
         if let Some(decision) = self.served_decision(dtd, class.rep) {
             return Some(Found::Served(decision));
         }
         self.canonical
-            .get(self.dtds[dtd.0].key, class.canonical_hash, &class.text)
+            .get(key, class.canonical_hash, &class.text)
             .filter(|entry| entry.decision.get().is_some())
             .map(Found::Stored)
     }
@@ -1087,7 +1106,7 @@ impl Workspace {
     ) -> Result<Option<Arc<DecisionProgram>>, ServiceError> {
         let class = read_recovering(&self.queries).class(query)?.clone();
         let artifacts = self.artifacts(dtd)?;
-        let entry = self.class_entry(dtd, &class);
+        let entry = self.class_entry(self.dtd_key(dtd)?, &class);
         Ok(self.program_for(&entry, &class, &artifacts))
     }
 
@@ -1175,7 +1194,7 @@ mod tests {
 
     #[test]
     fn resident_bound_evicts_lru_and_rematerialises() {
-        let mut ws = Workspace::default().with_resident_bound(1);
+        let ws = Workspace::default().with_resident_bound(1);
         let a = ws.register_dtd(DTD_A).unwrap();
         let b = ws.register_dtd(DTD_B).unwrap();
         let c = ws.register_dtd(DTD_C).unwrap();
@@ -1209,7 +1228,7 @@ mod tests {
 
     #[test]
     fn a_program_replays_after_its_dtd_is_evicted_and_rebuilt() {
-        let mut ws = Workspace::default().with_resident_bound(1);
+        let ws = Workspace::default().with_resident_bound(1);
         let d = ws
             .register_dtd("r -> a; a -> b | c; b -> d?; c -> #; d -> #;")
             .unwrap();
@@ -1232,17 +1251,17 @@ mod tests {
     #[test]
     fn the_store_matches_dtds_by_their_exact_text() {
         let shared = Arc::new(CanonicalCache::new());
-        let mut first = Workspace::default().with_canonical_cache(Arc::clone(&shared));
+        let first = Workspace::default().with_canonical_cache(Arc::clone(&shared));
         let (a1, b1) = (
             first.register_dtd(DTD_A).unwrap(),
             first.register_dtd(DTD_B).unwrap(),
         );
         // A DTD registered before the swap is re-keyed in the shared store.
-        let mut second = Workspace::default();
+        let second = Workspace::default();
         let b2 = second.register_dtd(DTD_B).unwrap();
-        let mut second = second.with_canonical_cache(Arc::clone(&shared));
+        let second = second.with_canonical_cache(Arc::clone(&shared));
         let a2 = second.register_dtd(DTD_A).unwrap();
-        let key = |ws: &Workspace, id: DtdId| ws.dtds[id.0].key;
+        let key = |ws: &Workspace, id: DtdId| ws.dtd_key(id).unwrap();
         // The same text gets the same key in both workspaces, whatever its id.
         assert_eq!(key(&first, a1), key(&second, a2));
         assert_eq!(key(&first, b1), key(&second, b2));
@@ -1274,7 +1293,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("xpsat-ws-lru-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = crate::store::ArtifactStore::open(&dir).unwrap();
-        let mut ws = Workspace::default()
+        let ws = Workspace::default()
             .with_store(store)
             .with_resident_bound(1);
         let a = ws.register_dtd(DTD_A).unwrap();
@@ -1291,7 +1310,7 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_aborts_batch_but_publishes_progress() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(DTD_A).unwrap();
         let ids: Vec<QueryId> = ["a", "a/b", "a[b]", "b/..", "a[not(b)]"]
             .iter()
@@ -1311,7 +1330,7 @@ mod tests {
 
     #[test]
     fn expired_single_query_exceeds_its_deadline_and_publishes_nothing() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(DTD_A).unwrap();
         let q = ws.intern("a[not(b)]").unwrap();
         let expired = Instant::now() - std::time::Duration::from_millis(1);
@@ -1333,7 +1352,7 @@ mod tests {
 
     #[test]
     fn exhausted_decisions_are_served_but_never_cached() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws
             .register_dtd("r -> a*; a -> b | c; b -> #; c -> #;")
             .unwrap();
@@ -1359,7 +1378,7 @@ mod tests {
         ));
 
         // Same through the batch path.
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws
             .register_dtd("r -> a*; a -> b | c; b -> #; c -> #;")
             .unwrap();
@@ -1379,7 +1398,7 @@ mod tests {
         let dtd = "r -> a; a -> b | c; b -> d?; c -> #; d -> #;";
         let texts = ["a[b or c]", "a[not(b)]", "a/b/d", "a[b/d or c]"];
 
-        let mut warm = Workspace::default().with_store(store.clone());
+        let warm = Workspace::default().with_store(store.clone());
         let d = warm.register_dtd(dtd).unwrap();
         let mut verdicts = Vec::new();
         for t in &texts {
@@ -1393,7 +1412,7 @@ mod tests {
 
         // "Restart": a fresh workspace over the same store answers every
         // previously-compiled query through the VM with zero compiles.
-        let mut cold = Workspace::default().with_store(store);
+        let cold = Workspace::default().with_store(store);
         let d = cold.register_dtd(dtd).unwrap();
         for (t, expected) in texts.iter().zip(&verdicts) {
             let q = cold.intern(t).unwrap();
@@ -1421,9 +1440,9 @@ mod tests {
 
     #[test]
     fn serve_decided_declines_without_a_trace_and_counts_like_decide() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(DTD_A).unwrap();
-        let mut twin = Workspace::default();
+        let twin = Workspace::default();
         twin.register_dtd(DTD_A).unwrap();
         for w in [&ws, &twin] {
             let q = w.intern("a[b]").unwrap();
@@ -1459,9 +1478,77 @@ mod tests {
         assert_eq!(ws.stats(), twin.stats());
     }
 
+    /// Run `work(i)` on 8 threads released together.
+    fn on_eight_threads<T: Send>(work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|i| {
+                    let (start, work) = (&start, &work);
+                    scope.spawn(move || {
+                        start.wait();
+                        work(i)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn racing_registrations_of_one_text_share_the_first_id() {
+        let ws = Workspace::default();
+        let ids = on_eight_threads(|_| ws.register_dtd(DTD_A).unwrap());
+        assert!(ids.iter().all(|&id| id == DtdId(0)), "{ids:?}");
+        let stats = ws.stats();
+        assert_eq!(stats.dtds_registered, 1, "{stats}");
+        assert_eq!(stats.dtds_reused, 7, "{stats}");
+        assert_eq!(ws.dtd_count(), 1);
+    }
+
+    #[test]
+    fn racing_registrations_of_distinct_texts_get_distinct_ids() {
+        let ws = Workspace::default();
+        let text = |i: usize| format!("r{i} -> a*; a -> #;");
+        let ids = on_eight_threads(|i| ws.register_dtd(&text(i)).unwrap());
+        let mut sorted: Vec<usize> = ids.iter().map(|id| id.index()).collect();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
+        for (i, id) in ids.into_iter().enumerate() {
+            let artifacts = ws.artifacts(id).unwrap();
+            assert_eq!(artifacts.compiled.dtd().root(), format!("r{i}"));
+        }
+        assert_eq!(ws.stats().dtds_registered, 8);
+    }
+
+    #[test]
+    fn racing_registrations_and_rematerialisations_keep_every_id() {
+        let ws = Workspace::default().with_resident_bound(1);
+        let text = |i: usize| format!("r{i} -> a*; a -> b?; b -> #;");
+        let first = ws.register_dtd(&text(0)).unwrap();
+        let ids = on_eight_threads(|i| {
+            let id = ws.register_dtd(&text(i % 4)).unwrap();
+            for _ in 0..4 {
+                ws.artifacts(first).unwrap();
+                ws.artifacts(id).unwrap();
+            }
+            id
+        });
+        assert_eq!(ws.dtd_count(), 4);
+        for (i, id) in ids.into_iter().enumerate() {
+            assert_eq!(
+                ws.artifacts(id).unwrap().compiled.dtd().root(),
+                format!("r{}", i % 4)
+            );
+        }
+        let stats = ws.stats();
+        assert!(stats.dtd_evictions >= 3, "{stats}");
+        assert!(stats.artifact_rebuilds >= 1, "{stats}");
+    }
+
     #[test]
     fn parse_errors_carry_spans() {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         match ws.register_dtd("r -> (a; a -> #;").unwrap_err() {
             ServiceError::DtdParse { span, .. } => assert!(span.0 < "r -> (a; a -> #;".len()),
             other => panic!("expected DtdParse, got {other:?}"),

@@ -311,7 +311,7 @@ fn register_over_damaged_entry(
 ) -> xpsat_service::StatsSnapshot {
     let dir = scratch_dir(tag);
     let store = xpsat_service::ArtifactStore::open(&dir).unwrap();
-    let mut first = Workspace::default().with_store(store.clone());
+    let first = Workspace::default().with_store(store.clone());
     first.register_dtd(DTD).unwrap();
     let entry = std::fs::read_dir(store.version_dir())
         .unwrap()
@@ -320,7 +320,7 @@ fn register_over_damaged_entry(
         .expect("one .art entry");
     damage(&entry);
 
-    let mut second = Workspace::default().with_store(store);
+    let second = Workspace::default().with_store(store);
     let id = second
         .register_dtd(DTD)
         .expect("registration survives damage");
@@ -356,7 +356,7 @@ fn bit_flipped_entries_degrade_to_miss_at_every_position() {
     // still-valid load (flips in padding slack) or a counted miss — never a panic.
     let dir = scratch_dir("bitflip");
     let store = xpsat_service::ArtifactStore::open(&dir).unwrap();
-    let mut seed_ws = Workspace::default().with_store(store.clone());
+    let seed_ws = Workspace::default().with_store(store.clone());
     seed_ws.register_dtd(DTD).unwrap();
     let entry = std::fs::read_dir(store.version_dir())
         .unwrap()
@@ -373,7 +373,7 @@ fn bit_flipped_entries_degrade_to_miss_at_every_position() {
         damaged[pos] ^= 1 << rng.below(8);
         std::fs::write(&entry, &damaged).unwrap();
 
-        let mut ws = Workspace::default().with_store(store.clone());
+        let ws = Workspace::default().with_store(store.clone());
         let id = ws.register_dtd(DTD).expect("registration never fails");
         let q = ws.intern("a[b]").unwrap();
         let served = ws.decide(id, q).expect("decides under every flip");
@@ -396,7 +396,7 @@ fn store_with_one_program(
 ) {
     let dir = scratch_dir(tag);
     let store = xpsat_service::ArtifactStore::open(&dir).unwrap();
-    let mut warm = Workspace::default().with_store(store.clone());
+    let warm = Workspace::default().with_store(store.clone());
     let id = warm.register_dtd(DTD).unwrap();
     let q = warm.intern("a[b]").unwrap();
     warm.decide(id, q).unwrap();
@@ -415,7 +415,7 @@ fn truncated_program_entry_recompiles_with_counted_corruption() {
     let bytes = std::fs::read(&entry).unwrap();
     std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
 
-    let mut ws = Workspace::default().with_store(store);
+    let ws = Workspace::default().with_store(store);
     let id = ws.register_dtd(DTD).unwrap();
     let q = ws.intern("a[b]").unwrap();
     let served = ws.decide(id, q).expect("decides over damaged program");
@@ -451,7 +451,7 @@ fn bit_flipped_program_entries_never_reach_the_vm() {
         }
         std::fs::write(&entry, &damaged).unwrap();
 
-        let mut ws = Workspace::default().with_store(store.clone());
+        let ws = Workspace::default().with_store(store.clone());
         let id = ws.register_dtd(DTD).unwrap();
         let q = ws.intern("a[b]").unwrap();
         let served = ws.decide(id, q).expect("decides under every flip");
@@ -482,7 +482,7 @@ fn torn_write_is_invisible_to_readers() {
         b"XPSATARTgarbage-from-a-crashed-writer",
     )
     .unwrap();
-    let mut ws = Workspace::default().with_store(store);
+    let ws = Workspace::default().with_store(store);
     let id = ws.register_dtd(DTD).unwrap();
     let q = ws.intern("a[b]").unwrap();
     assert!(ws.decide(id, q).is_ok());
@@ -508,7 +508,7 @@ fn unwritable_store_dir_degrades_to_compute_only() {
     // when the OS actually enforces them.
     let enforced = std::fs::write(store.version_dir().join(".probe"), b"x").is_err();
 
-    let mut ws = Workspace::default().with_store(store.clone());
+    let ws = Workspace::default().with_store(store.clone());
     let id = ws
         .register_dtd(DTD)
         .expect("registration tolerates a dead store");
@@ -571,7 +571,7 @@ fn pathological_depth_answers_spanned_errors_not_stack_overflow() {
 /// The workspace surfaces parse spans through `ServiceError` too (the CLI path).
 #[test]
 fn workspace_parse_errors_expose_spans() {
-    let mut ws = Workspace::default();
+    let ws = Workspace::default();
     match ws.register_dtd("r -> (a; a -> #;") {
         Err(ServiceError::DtdParse { span, .. }) => assert!(span.0 < 16),
         other => panic!("expected DtdParse, got {other:?}"),

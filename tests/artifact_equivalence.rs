@@ -369,7 +369,7 @@ fn lazy_and_eagerly_warmed_artifacts_yield_identical_fingerprints() {
 #[test]
 fn workspace_serves_the_same_decisions_as_a_fresh_solver() {
     let solver = Solver::default();
-    let mut ws = Workspace::default();
+    let ws = Workspace::default();
     for (dtd_text, queries) in solver_corpus() {
         let dtd = parse_dtd(dtd_text).unwrap();
         let dtd_id = ws.register_dtd(dtd_text).unwrap();

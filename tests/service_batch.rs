@@ -171,7 +171,7 @@ fn workspace_level_batch_is_order_preserving_and_thread_invariant() {
 
     let mut baseline: Option<Vec<String>> = None;
     for threads in [1, 2, 4, 8] {
-        let mut ws = Workspace::default();
+        let ws = Workspace::default();
         let d = ws.register_dtd(&dtd.to_string()).unwrap();
         let ids: Vec<QueryId> = texts.iter().map(|t| ws.intern(t).unwrap()).collect();
         let served = ws.decide_batch(d, &ids, threads, None, None).unwrap();
@@ -195,7 +195,7 @@ fn sharded_cache_agrees_with_per_query_decides_across_entry_points() {
     for dtd in corpus_dtds() {
         let texts = corpus_queries(&mut rng, &dtd, 50);
         // Reference: a dedicated workspace that only ever uses single decides.
-        let mut singles = Workspace::default();
+        let singles = Workspace::default();
         let ds = singles.register_dtd(&dtd.to_string()).unwrap();
         let single_ids: Vec<QueryId> = texts.iter().map(|t| singles.intern(t).unwrap()).collect();
         let expected: Vec<String> = single_ids
@@ -205,7 +205,7 @@ fn sharded_cache_agrees_with_per_query_decides_across_entry_points() {
 
         // Mixed workspace: first half warmed through decide(), then a threaded batch
         // over everything, then decide() reads for all (now fully cached).
-        let mut mixed = Workspace::default();
+        let mixed = Workspace::default();
         let dm = mixed.register_dtd(&dtd.to_string()).unwrap();
         let ids: Vec<QueryId> = texts.iter().map(|t| mixed.intern(t).unwrap()).collect();
         for &q in ids.iter().take(ids.len() / 2) {
