@@ -29,7 +29,11 @@
 //! * a **canonical-cache bucket** — the cross-tenant drill: one workspace decides the
 //!   corpus and publishes to a shared [`CanonicalCache`]; a second workspace (fresh
 //!   interner, nothing served yet) then answers the same corpus entirely from
-//!   shared canonical hits, against the solve-everything cost a lone tenant pays.
+//!   shared canonical hits, against the solve-everything cost a lone tenant pays;
+//! * a **realistic-DTD bucket** — XHTML and DocBook: `build_ns` times
+//!   `DtdArtifacts::build` alone and `register_ns` the build plus `warm()` (automata,
+//!   useful-state masks, tree generator), which is what a registration pays for its
+//!   artifacts; then warm AST and VM decides over a fixed query mix.
 //!
 //! The medians (nanoseconds per query) are written as JSON to `BENCH_xpsat.json` at the
 //! repo root so successive PRs have a trajectory to compare against:
@@ -522,6 +526,19 @@ fn run() {
                 })
                 .collect(),
         );
+        // What a registration pays for its artifacts: the build plus `warm()`, which
+        // forces the automata, their useful-state masks and the tree generator.
+        let register_ns = median(
+            (0..iters)
+                .map(|_| {
+                    let start = Instant::now();
+                    let artifacts = DtdArtifacts::build(&dtd);
+                    artifacts.warm();
+                    std::hint::black_box(artifacts);
+                    start.elapsed().as_nanos() as f64
+                })
+                .collect(),
+        );
         let artifacts = DtdArtifacts::build(&dtd);
         // Split the mix by what the budgeted AST dispatch can finish: timing a
         // budget-exhausted decision only measures the budget, so `warm_ns` covers
@@ -553,10 +570,11 @@ fn run() {
             }
         });
         println!(
-            "realistic-dtd {:<8} ({} elements)  build {:>12} ns   warm {:>12} ns/q ({}/{} complete in budget)   vm-coverage {}/{} ({:.2})   vm-warm {:>10} ns/q",
+            "realistic-dtd {:<8} ({} elements)  build {:>12} ns   register {:>12} ns   warm {:>12} ns/q ({}/{} complete in budget)   vm-coverage {}/{} ({:.2})   vm-warm {:>10} ns/q",
             slug,
             dtd.element_names().len(),
             json_f64(build_ns),
+            json_f64(register_ns),
             json_f64(warm_ns),
             completing.len(),
             queries.len(),
@@ -566,12 +584,13 @@ fn run() {
             json_f64(vm_warm_ns)
         );
         realistic_sections.push(format!(
-            "    \"{}\": {{\"elements\": {}, \"queries\": {}, \"ast_complete\": {}, \"build_ns\": {}, \"warm_ns\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"vm_warm_ns\": {}}}",
+            "    \"{}\": {{\"elements\": {}, \"queries\": {}, \"ast_complete\": {}, \"build_ns\": {}, \"register_ns\": {}, \"warm_ns\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"vm_warm_ns\": {}}}",
             slug,
             dtd.element_names().len(),
             queries.len(),
             completing.len(),
             json_f64(build_ns),
+            json_f64(register_ns),
             json_f64(warm_ns),
             programs.len(),
             vm_coverage,

@@ -21,7 +21,7 @@ use crate::props::DtdProperties;
 use crate::symbols::{Sym, SymbolTable};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use xpsat_automata::{BitSet, Nfa};
 
 /// A content-model automaton over interned element-type symbols.
@@ -105,11 +105,12 @@ impl DtdArtifacts {
         self.compiled.as_ref().map(|c| c.properties())
     }
 
-    /// Force every lazily-initialised artifact (automata, useful-state masks, tree
-    /// generator).  Long-lived holders — the service workspace registering a DTD it
-    /// will serve many queries against — warm eagerly so no decision ever pays
-    /// first-touch latency; one-shot `Solver::decide` callers skip this and only build
-    /// what their engine actually walks.
+    /// Force every lazily-initialised artifact: the Glushkov automata, their
+    /// useful-state masks and the tree generator, which shares both.  Long-lived
+    /// holders — the service workspace registering a DTD it will serve many queries
+    /// against — warm eagerly so no decision ever pays first-touch latency; one-shot
+    /// `Solver::decide` callers skip this and only build what their engine actually
+    /// walks.
     pub fn warm(&self) {
         if let Some(compiled) = &self.compiled {
             compiled.warm();
@@ -120,12 +121,15 @@ impl DtdArtifacts {
 /// The dense, symbol-interned compilation of a pruned DTD.
 ///
 /// The cheap, always-needed structures (interner, dense graph with reachability
-/// closure, attribute sets) are built eagerly; the expensive ones — the per-element
-/// Glushkov automata, their useful-state masks and the [`TreeGenerator`] — live behind
+/// closure, attribute sets) are built eagerly; the rest — the per-element Glushkov
+/// automata, their useful-state masks and the [`TreeGenerator`] — live behind
 /// [`OnceLock`]s and are built on first touch.  A one-shot `Solver::decide` whose query
 /// dispatches to the downward or disjunction-free engine (pure graph reachability)
 /// never constructs an automaton at all; the service workspace calls
 /// [`CompiledDtd::warm`] once at registration instead.
+///
+/// The automata and masks sit behind [`Arc`]s: the generator shares them, and a clone
+/// of the compile copies two pointers rather than every automaton.
 #[derive(Debug, Clone)]
 pub struct CompiledDtd {
     dtd: Dtd,
@@ -139,15 +143,15 @@ pub struct CompiledDtd {
     /// Declared attribute names per element symbol.
     attrs: Vec<BTreeSet<String>>,
     /// Glushkov automaton of `P(A)` indexed by the element symbol of `A` (lazy).
-    automata: OnceLock<Vec<SymNfa>>,
+    automata: OnceLock<Arc<[SymNfa]>>,
     /// Useful (accessible and co-accessible) states of each automaton (lazy).
-    useful: OnceLock<Vec<BitSet>>,
-    /// The shared tree generator (lazy; reuses the compiled automata when built).
+    useful: OnceLock<Arc<[BitSet]>>,
+    /// The tree generator (lazy; shares the automata and masks above).
     generator: OnceLock<TreeGenerator>,
 }
 
 impl CompiledDtd {
-    fn new(pruned: Dtd) -> CompiledDtd {
+    pub(crate) fn new(pruned: Dtd) -> CompiledDtd {
         let graph = DtdGraph::new(&pruned);
         let props = DtdProperties::analyze(&pruned, &graph);
         // Pruned DTDs reference declared types only, so the graph's vertices are
@@ -214,17 +218,17 @@ impl CompiledDtd {
         );
         compiled
             .automata
-            .set(automata)
+            .set(automata.into())
             .expect("fresh compile has no automata yet");
         compiled
             .useful
-            .set(useful)
+            .set(useful.into())
             .expect("fresh compile has no useful masks yet");
         compiled
     }
 
-    /// The automata vector, built on first touch.
-    fn automata(&self) -> &[SymNfa] {
+    /// The automata, built on first touch.
+    fn automata(&self) -> &Arc<[SymNfa]> {
         self.automata.get_or_init(|| {
             (0..self.num_elements)
                 .map(|index| {
@@ -245,7 +249,7 @@ impl CompiledDtd {
     }
 
     /// The useful-state masks, built on first touch (forces the automata).
-    fn useful_vec(&self) -> &[BitSet] {
+    fn useful_vec(&self) -> &Arc<[BitSet]> {
         self.useful
             .get_or_init(|| self.automata().iter().map(Nfa::useful_states).collect())
     }
@@ -293,22 +297,18 @@ impl CompiledDtd {
         &self.props
     }
 
-    /// The shared tree generator (minimal expansions, random sampling), built on first
-    /// touch.  The generator reuses this compile's automata — cloned, not re-derived —
-    /// so forcing it never runs the Glushkov construction twice.
+    /// The tree generator (minimal expansions, random sampling), built on first touch
+    /// (forces the automata and useful-state masks).  It shares this compile's
+    /// automata and masks, so forcing it never runs the Glushkov construction twice
+    /// and copies no automaton.
     pub fn generator(&self) -> &TreeGenerator {
         self.generator.get_or_init(|| {
-            // The generator's interner must cover every name it may resolve; hand it
-            // this compile's table (elements in the dense prefix, attribute names
-            // after) with `None` automata for the non-element tail.
-            let automata: Vec<Option<SymNfa>> = self
-                .automata()
-                .iter()
-                .cloned()
-                .map(Some)
-                .chain((self.num_elements..self.symbols.len()).map(|_| None))
-                .collect();
-            TreeGenerator::from_parts(&self.dtd, self.symbols.clone(), automata)
+            TreeGenerator::from_parts(
+                &self.dtd,
+                self.symbols.clone(),
+                Arc::clone(self.automata()),
+                Arc::clone(self.useful_vec()),
+            )
         })
     }
 

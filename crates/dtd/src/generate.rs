@@ -11,138 +11,100 @@
 //! * [`TreeGenerator::random_tree`] — a random conforming document, used by the property
 //!   tests and benchmark workloads (depth- and width-bounded so recursion terminates).
 //!
-//! Internally everything runs over interned [`Sym`] ids: the per-type Glushkov automata
-//! are `Nfa<Sym>`, the terminating set and the sampling good-state masks are bitsets,
-//! and — crucially for the witness-expansion hot path — the minimal children word of
-//! every terminating type is precomputed once at construction, so `expand_minimal` is a
-//! table lookup plus node insertion instead of a per-node covering-word BFS over
-//! `String` labels.
+//! A generator works over the *pruned* DTD (every type terminating, see
+//! [`prune_nonterminating`]) and over interned [`Sym`] ids: it shares the Glushkov
+//! automata and useful-state masks of a [`CompiledDtd`] instead of copying them, and —
+//! crucially for the witness-expansion hot path — the minimal children word of every
+//! type is precomputed once at construction, so `expand_minimal` is a table lookup
+//! plus node insertion instead of a per-node covering-word BFS over `String` labels.
 
+use crate::artifacts::{CompiledDtd, SymNfa};
 use crate::dtd::Dtd;
-use crate::graph::{minimal_heights, terminating_types};
+use crate::graph::prune_nonterminating;
 use crate::symbols::{Sym, SymbolTable};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use xpsat_automata::{BitSet, CoverDemand, Nfa};
+use std::sync::Arc;
+use xpsat_automata::{BitSet, CoverDemand, Regex};
 use xpsat_xmltree::{Document, NodeId};
 
 /// A generator of conforming documents for one DTD.
 ///
-/// Construction precomputes the Glushkov automata of all content models (over interned
-/// symbols), the set of terminating types, the minimal derivation heights, the minimal
-/// children word of every terminating type and the sampling good-state masks, so
-/// repeated expansions are cheap.
+/// It holds the content-model automata of the pruned DTD (shared with the compile they
+/// came from), their useful-state masks and the minimal children word of every type,
+/// so repeated expansions are cheap.
 #[derive(Debug, Clone)]
 pub struct TreeGenerator {
+    /// The DTD expansions fill attributes from: the pruned DTD, or the DTD given to
+    /// [`TreeGenerator::new`].
     dtd: Dtd,
-    /// Declared element types first (in sorted order), then referenced-only names.
+    /// Element types in the dense prefix `0..automata.len()`; any later symbols
+    /// (attribute names) resolve to no element.
     symbols: SymbolTable,
-    /// Content-model automaton per symbol; `None` for referenced-but-undeclared names.
-    automata: Vec<Option<Nfa<Sym>>>,
-    /// Terminating types as a bitset over symbol indices.
-    terminating: BitSet,
-    /// Precomputed minimal children word per symbol (empty for non-terminating types,
-    /// whose expansion is a no-op).
+    /// Content-model automaton per element symbol.  Every type is terminating, so
+    /// every symbol on a transition can be expanded.
+    automata: Arc<[SymNfa]>,
+    /// Per element symbol: the useful states of its automaton.  The sampler walks
+    /// forward from the initial state, so these are the states from which acceptance
+    /// stays reachable.
+    useful: Arc<[BitSet]>,
+    /// Precomputed minimal children word per element symbol.
     minimal_words: Vec<Vec<Sym>>,
-    /// Per symbol: NFA states from which acceptance stays reachable through
-    /// terminating symbols (used by the random sampler).
-    good: Vec<BitSet>,
 }
 
 impl TreeGenerator {
-    /// Build a generator for a DTD.
+    /// Build a generator for a DTD: the generator of its compile (so this also builds
+    /// the DTD's graph closure and properties).  Non-terminating types are pruned away
+    /// and resolve to no element; when the root itself is non-terminating no document
+    /// conforms, and the generator resolves no type at all.  [`TreeGenerator::dtd`]
+    /// and attribute filling still see `dtd` as given.
     pub fn new(dtd: &Dtd) -> TreeGenerator {
-        // Intern declared types in sorted order first — for a pruned DTD this yields
-        // exactly the `CompiledDtd` symbol assignment — then referenced-only names.
-        let declared: BTreeSet<String> = dtd.element_names().into_iter().collect();
-        let mut referenced: BTreeSet<String> = BTreeSet::new();
-        for (_, decl) in dtd.elements() {
-            referenced.extend(decl.content.symbols());
+        match prune_nonterminating(dtd) {
+            Some(pruned) => TreeGenerator {
+                dtd: dtd.clone(),
+                ..CompiledDtd::new(pruned).generator().clone()
+            },
+            None => TreeGenerator {
+                dtd: dtd.clone(),
+                symbols: SymbolTable::new(),
+                automata: Arc::from(Vec::new()),
+                useful: Arc::from(Vec::new()),
+                minimal_words: Vec::new(),
+            },
         }
-        let mut symbols = SymbolTable::new();
-        for name in &declared {
-            symbols.intern(name);
-        }
-        for name in &referenced {
-            symbols.intern(name);
-        }
-        let automata: Vec<Option<Nfa<Sym>>> = (0..symbols.len())
-            .map(|index| {
-                let name = symbols.name(Sym::from_index(index));
-                dtd.element(name).map(|decl| {
-                    let content = decl.content.map_symbols(&|s| {
-                        symbols.lookup(s).expect("referenced names are interned")
-                    });
-                    Nfa::glushkov(&content)
-                })
-            })
-            .collect();
-        Self::from_parts(dtd, symbols, automata)
     }
 
-    /// Build a generator from an existing interner and per-symbol automata, skipping
-    /// the Glushkov construction.  The interner must cover every declared *and*
-    /// referenced name of the DTD, with `automata[sym]` the automaton of `P(sym)` for
-    /// every declared type (the artifact pipeline shares its compiled automata this
-    /// way instead of re-deriving them).
-    pub fn from_parts(
-        dtd: &Dtd,
+    /// Build a generator over a pruned DTD from its compiled parts, sharing them.
+    /// `symbols` must intern the element types as its dense prefix, in the order of
+    /// `automata`, with `automata[A]` the Glushkov automaton of `P(A)` and `useful[A]`
+    /// its useful states.
+    pub(crate) fn from_parts(
+        pruned: &Dtd,
         symbols: SymbolTable,
-        automata: Vec<Option<Nfa<Sym>>>,
+        automata: Arc<[SymNfa]>,
+        useful: Arc<[BitSet]>,
     ) -> TreeGenerator {
-        let n = symbols.len();
-        let terminating_names = terminating_types(dtd);
-        let mut terminating = BitSet::with_capacity(n);
-        for name in &terminating_names {
-            if let Some(sym) = symbols.lookup(name) {
-                terminating.insert(sym.index());
-            }
-        }
-        let height_map: BTreeMap<String, usize> = minimal_heights(dtd);
-        let heights: Vec<Option<usize>> = (0..n)
-            .map(|i| height_map.get(symbols.name(Sym::from_index(i))).copied())
-            .collect();
-
-        // Minimal children word per terminating type: the shortest word of the content
-        // model over types of strictly smaller minimal height (such a word exists by
-        // the definition of minimal heights).  Computed once; every expansion reuses it.
-        let minimal_words: Vec<Vec<Sym>> = (0..n)
-            .map(|index| {
-                if !terminating.contains(index) {
-                    return Vec::new();
-                }
-                let Some(nfa) = &automata[index] else {
-                    return Vec::new();
-                };
-                let my_height = heights[index].unwrap_or(1);
-                let allowed: BTreeSet<Sym> = heights
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, h)| h.is_some_and(|h| h < my_height))
-                    .map(|(i, _)| Sym::from_index(i))
-                    .collect();
-                let demand = CoverDemand::none().restrict_to(allowed);
-                xpsat_automata::shortest_covering_word(nfa, &demand)
+        let heights = minimal_heights(pruned, &symbols, automata.len());
+        // Minimal children word per type: the shortest word of the content model over
+        // types of strictly smaller minimal height (such a word exists by the
+        // definition of minimal heights).  Computed once; every expansion reuses it.
+        let minimal_words: Vec<Vec<Sym>> = automata
+            .iter()
+            .zip(&heights)
+            .map(|(nfa, &height)| {
+                let my_height = height.unwrap_or(1);
+                nfa.shortest_word_over(|s| heights[s.index()].is_some_and(|h| h < my_height))
                     .or_else(|| nfa.shortest_word())
                     .unwrap_or_default()
             })
             .collect();
 
-        let good: Vec<BitSet> = automata
-            .iter()
-            .map(|nfa| match nfa {
-                Some(nfa) => good_states(nfa, &terminating),
-                None => BitSet::new(),
-            })
-            .collect();
-
         TreeGenerator {
-            dtd: dtd.clone(),
+            dtd: pruned.clone(),
             symbols,
             automata,
-            terminating,
+            useful,
             minimal_words,
-            good,
         }
     }
 
@@ -153,18 +115,21 @@ impl TreeGenerator {
 
     /// Is this element type terminating (does it derive any finite tree)?
     pub fn is_terminating(&self, name: &str) -> bool {
+        self.elem(name).is_some()
+    }
+
+    /// The element symbol of `name`: every type of the pruned DTD, so exactly the
+    /// terminating types of the original one.
+    fn elem(&self, name: &str) -> Option<Sym> {
         self.symbols
             .lookup(name)
-            .is_some_and(|sym| self.terminating.contains(sym.index()))
+            .filter(|sym| sym.index() < self.automata.len())
     }
 
     /// A minimal-height conforming tree rooted at an element of type `label`.
     /// Returns `None` when the type is not terminating (or not declared).
     pub fn minimal_tree(&self, label: &str) -> Option<Document> {
-        let sym = self.symbols.lookup(label)?;
-        if !self.terminating.contains(sym.index()) {
-            return None;
-        }
+        let sym = self.elem(label)?;
         let mut doc = Document::new(label);
         let root = doc.root();
         self.expand_minimal_sym(&mut doc, root, sym);
@@ -179,10 +144,7 @@ impl TreeGenerator {
         parent: NodeId,
         label: &str,
     ) -> Option<NodeId> {
-        let sym = self.symbols.lookup(label)?;
-        if !self.terminating.contains(sym.index()) {
-            return None;
-        }
+        let sym = self.elem(label)?;
         let child = doc.add_child(parent, label);
         self.expand_minimal_sym(doc, child, sym);
         Some(child)
@@ -191,7 +153,7 @@ impl TreeGenerator {
     /// Expand `node` (assumed childless) into a minimal conforming subtree, filling
     /// declared attributes with the placeholder value `"0"`.
     pub fn expand_minimal(&self, doc: &mut Document, node: NodeId) {
-        match self.symbols.lookup(doc.label(node)) {
+        match self.elem(doc.label(node)) {
             Some(sym) => self.expand_minimal_sym(doc, node, sym),
             None => {
                 let label = doc.label(node).to_string();
@@ -224,8 +186,8 @@ impl TreeGenerator {
     ) -> Option<Vec<NodeId>> {
         let label = doc.label(node).to_string();
         self.fill_attributes(doc, node, &label);
-        let sym = self.symbols.lookup(&label)?;
-        let nfa = self.automata[sym.index()].as_ref()?;
+        let sym = self.elem(&label)?;
+        let nfa = &self.automata[sym.index()];
         // Lower the demand to interned form.  A required name the interner has never
         // seen cannot occur in any children word, so the demand is unsatisfiable.
         let mut sym_demand: CoverDemand<Sym> = CoverDemand::none();
@@ -246,9 +208,6 @@ impl TreeGenerator {
             sym_demand = sym_demand.restrict_to(allowed_syms);
         }
         let word = xpsat_automata::shortest_covering_word(nfa, &sym_demand)?;
-        if word.iter().any(|s| !self.terminating.contains(s.index())) {
-            return None;
-        }
         let mut children = Vec::with_capacity(word.len());
         for &child_sym in &word {
             let child = doc.add_child(node, self.symbols.name(child_sym));
@@ -284,7 +243,7 @@ impl TreeGenerator {
         max_word_len: usize,
     ) {
         let label = doc.label(node).to_string();
-        let Some(sym) = self.symbols.lookup(&label) else {
+        let Some(sym) = self.elem(&label) else {
             return;
         };
         if depth_budget == 0 {
@@ -292,10 +251,8 @@ impl TreeGenerator {
             return;
         }
         self.fill_attributes(doc, node, &label);
-        let Some(nfa) = self.automata[sym.index()].as_ref() else {
-            return;
-        };
-        let word = self.sample_word(nfa, &self.good[sym.index()], rng, max_word_len);
+        let nfa = &self.automata[sym.index()];
+        let word = sample_word(nfa, &self.useful[sym.index()], rng, max_word_len);
         for child_sym in word {
             let child = doc.add_child(node, self.symbols.name(child_sym));
             self.expand_random(doc, child, rng, depth_budget - 1, max_word_len);
@@ -308,92 +265,6 @@ impl TreeGenerator {
         }
     }
 
-    /// Random walk over the Glushkov automaton, restricted to terminating symbols,
-    /// biased towards stopping once an accepting state is reached.  The walk only ever
-    /// visits states from which acceptance stays reachable through terminating symbols,
-    /// so the returned word is always in the (restricted) language.
-    fn sample_word<R: Rng>(
-        &self,
-        nfa: &Nfa<Sym>,
-        good: &BitSet,
-        rng: &mut R,
-        max_len: usize,
-    ) -> Vec<Sym> {
-        if !good.contains(nfa.start()) {
-            return Vec::new();
-        }
-        let mut word = Vec::new();
-        let mut state = nfa.start();
-        let mut options: Vec<(Sym, usize)> = Vec::new();
-        while word.len() < max_len {
-            if nfa.is_accepting(state) && rng.gen_bool(0.4) {
-                return word;
-            }
-            options.clear();
-            for (sym, succs) in nfa.transitions_from(state) {
-                if !self.terminating.contains(sym.index()) {
-                    continue;
-                }
-                options.extend(
-                    succs
-                        .iter()
-                        .filter(|s| good.contains(**s))
-                        .map(|&s| (*sym, s)),
-                );
-            }
-            if options.is_empty() {
-                break;
-            }
-            let (sym, next) = options[rng.gen_range(0..options.len())];
-            word.push(sym);
-            state = next;
-        }
-        // Completion phase: append a shortest accepted suffix from the current state.
-        word.extend(self.shortest_suffix(nfa, state, good));
-        word
-    }
-
-    /// A shortest word leading from `state` to acceptance using only terminating
-    /// symbols.
-    fn shortest_suffix(&self, nfa: &Nfa<Sym>, state: usize, good: &BitSet) -> Vec<Sym> {
-        use std::collections::VecDeque;
-        if nfa.is_accepting(state) {
-            return Vec::new();
-        }
-        let mut pred: BTreeMap<usize, (usize, Sym)> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(state);
-        let mut goal = None;
-        'search: while let Some(q) = queue.pop_front() {
-            for (sym, succs) in nfa.transitions_from(q) {
-                if !self.terminating.contains(sym.index()) {
-                    continue;
-                }
-                for &next in succs {
-                    if next != state && !pred.contains_key(&next) && good.contains(next) {
-                        pred.insert(next, (q, *sym));
-                        if nfa.is_accepting(next) {
-                            goal = Some(next);
-                            break 'search;
-                        }
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        let Some(mut cur) = goal else {
-            return Vec::new();
-        };
-        let mut suffix = Vec::new();
-        while cur != state {
-            let (prev, sym) = pred[&cur];
-            suffix.push(sym);
-            cur = prev;
-        }
-        suffix.reverse();
-        suffix
-    }
-
     fn fill_attributes(&self, doc: &mut Document, node: NodeId, label: &str) {
         for attr in self.dtd.attributes(label) {
             if doc.attr(node, &attr).is_none() {
@@ -403,28 +274,131 @@ impl TreeGenerator {
     }
 }
 
-/// States from which an accepting state is reachable using only terminating symbols.
-fn good_states(nfa: &Nfa<Sym>, terminating: &BitSet) -> BitSet {
-    let mut good: BitSet = (0..nfa.num_states())
-        .filter(|&q| nfa.is_accepting(q))
+/// Random walk over the Glushkov automaton, biased towards stopping once an accepting
+/// state is reached.  The walk only ever visits useful states, so the returned word is
+/// always in the language.
+fn sample_word<R: Rng>(nfa: &SymNfa, useful: &BitSet, rng: &mut R, max_len: usize) -> Vec<Sym> {
+    if !useful.contains(nfa.start()) {
+        return Vec::new();
+    }
+    let mut word = Vec::new();
+    let mut state = nfa.start();
+    let mut options: Vec<(Sym, usize)> = Vec::new();
+    while word.len() < max_len {
+        if nfa.is_accepting(state) && rng.gen_bool(0.4) {
+            return word;
+        }
+        options.clear();
+        for (sym, succs) in nfa.transitions_from(state) {
+            options.extend(
+                succs
+                    .iter()
+                    .filter(|s| useful.contains(**s))
+                    .map(|&s| (*sym, s)),
+            );
+        }
+        if options.is_empty() {
+            break;
+        }
+        let (sym, next) = options[rng.gen_range(0..options.len())];
+        word.push(sym);
+        state = next;
+    }
+    // Completion phase: append a shortest accepted suffix from the current state.
+    word.extend(shortest_suffix(nfa, state, useful));
+    word
+}
+
+/// A shortest word leading from `state` to acceptance through useful states.
+fn shortest_suffix(nfa: &SymNfa, state: usize, useful: &BitSet) -> Vec<Sym> {
+    use std::collections::VecDeque;
+    if nfa.is_accepting(state) {
+        return Vec::new();
+    }
+    let mut pred: BTreeMap<usize, (usize, Sym)> = BTreeMap::new();
+    let mut queue = VecDeque::new();
+    queue.push_back(state);
+    let mut goal = None;
+    'search: while let Some(q) = queue.pop_front() {
+        for (sym, succs) in nfa.transitions_from(q) {
+            for &next in succs {
+                if next != state && !pred.contains_key(&next) && useful.contains(next) {
+                    pred.insert(next, (q, *sym));
+                    if nfa.is_accepting(next) {
+                        goal = Some(next);
+                        break 'search;
+                    }
+                    queue.push_back(next);
+                }
+            }
+        }
+    }
+    let Some(mut cur) = goal else {
+        return Vec::new();
+    };
+    let mut suffix = Vec::new();
+    while cur != state {
+        let (prev, sym) = pred[&cur];
+        suffix.push(sym);
+        cur = prev;
+    }
+    suffix.reverse();
+    suffix
+}
+
+/// Minimal achievable subtree height per element type of a pruned DTD (a leaf-only
+/// expansion has height 1), indexed by the element symbols `0..num_elements` of
+/// `symbols`.  A type becomes rankable once its content model has a word over ranked
+/// types; its height is then 1 + the least bound `h` such that the model has a word
+/// over types of height at most `h` (0 when it is nullable).  Types are visited in
+/// symbol order and ranked as soon as they are visited, as
+/// [`crate::graph::minimal_heights`] does over `String`-keyed content models; each
+/// visit is one pass over the interned content model.
+fn minimal_heights(pruned: &Dtd, symbols: &SymbolTable, num_elements: usize) -> Vec<Option<usize>> {
+    let contents: Vec<Regex<Sym>> = (0..num_elements)
+        .map(|index| {
+            let name = symbols.name(Sym::from_index(index));
+            let decl = pruned.element(name).expect("element symbols are declared");
+            decl.content.map_symbols(&|s| {
+                symbols
+                    .lookup(s)
+                    .expect("pruned content references declared types")
+            })
+        })
         .collect();
+    let mut heights: Vec<Option<usize>> = vec![None; num_elements];
     loop {
         let mut changed = false;
-        for q in 0..nfa.num_states() {
-            if good.contains(q) {
+        for (index, content) in contents.iter().enumerate() {
+            if heights[index].is_some() {
                 continue;
             }
-            let reaches = nfa.transitions_from(q).any(|(sym, succs)| {
-                terminating.contains(sym.index()) && succs.iter().any(|s| good.contains(*s))
-            });
-            if reaches {
-                good.insert(q);
+            if let Some(bound) = bottleneck(content, &heights) {
+                heights[index] = Some(1 + bound);
                 changed = true;
             }
         }
         if !changed {
-            return good;
+            return heights;
         }
+    }
+}
+
+/// The least `h` such that `re` has a word over ranked symbols of height at most `h`
+/// (0 for the empty word), or `None` when it has no word over ranked symbols.
+fn bottleneck(re: &Regex<Sym>, heights: &[Option<usize>]) -> Option<usize> {
+    match re {
+        Regex::Epsilon | Regex::Star(_) | Regex::Opt(_) => Some(0),
+        Regex::Empty => None,
+        Regex::Sym(s) => heights[s.index()],
+        Regex::Concat(parts) => parts
+            .iter()
+            .try_fold(0, |bound, part| Some(bound.max(bottleneck(part, heights)?))),
+        Regex::Alt(parts) => parts
+            .iter()
+            .filter_map(|part| bottleneck(part, heights))
+            .min(),
+        Regex::Plus(inner) => bottleneck(inner, heights),
     }
 }
 
@@ -442,6 +416,82 @@ mod tests {
              title -> #; author -> #; price -> #; @book: isbn;",
         )
         .unwrap()
+    }
+
+    /// A chain `b000 -> b001 -> … -> #` that runs against symbol order, so the fixpoint
+    /// ranks one type per sweep, beside a type `s` whose content model, a starred
+    /// alternation over the whole chain followed by the chain's head, stays unranked
+    /// until the last sweep.
+    fn chain_against_symbol_order(len: usize) -> String {
+        let mut text = String::from("r -> s, b000; ");
+        for i in 0..len - 1 {
+            text.push_str(&format!("b{i:03} -> b{:03}; ", i + 1));
+        }
+        text.push_str(&format!("b{:03} -> #; s -> (", len - 1));
+        let names: Vec<String> = (0..len).map(|i| format!("b{i:03}")).collect();
+        text.push_str(&names.join(" | "));
+        text.push_str(")*, b000;");
+        text
+    }
+
+    #[test]
+    fn heights_over_interned_models_agree_with_heights_over_content_models() {
+        // In the fourth DTD, `a` is visited after `y` (height 3) is ranked but before
+        // `c` (height 2) is, so it is ranked 4, not 3: both computations must keep
+        // that dependence on the visiting order.
+        let chain = chain_against_symbol_order(150);
+        for text in [
+            "r -> a; a -> b; b -> #;",
+            "r -> c; c -> (c, x) | #; x -> #;",
+            "r -> (a, b?)+ | c*; a -> b | c; b -> c; c -> #;",
+            "r -> a; a -> y | c; c -> d; d -> #; w -> #; x -> w; y -> x;",
+            &chain,
+        ] {
+            let pruned = prune_nonterminating(&parse_dtd(text).unwrap()).unwrap();
+            let compiled = CompiledDtd::new(pruned.clone());
+            let by_name = crate::graph::minimal_heights(&pruned);
+            let heights: BTreeMap<String, usize> =
+                minimal_heights(&pruned, compiled.symbols(), compiled.num_elements())
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, h)| (compiled.name(Sym::from_index(i)).to_string(), h.unwrap()))
+                    .collect();
+            assert_eq!(heights, by_name, "{text}");
+        }
+        let pruned = prune_nonterminating(&parse_dtd(&chain).unwrap()).unwrap();
+        let heights = crate::graph::minimal_heights(&pruned);
+        assert_eq!(heights["b000"], 150);
+        assert_eq!(heights["s"], 151);
+    }
+
+    #[test]
+    fn generator_of_a_dtd_keeps_its_declarations() {
+        // `x` and `y` do not terminate; the generator resolves neither, but `dtd()` is
+        // the DTD it was built from and attribute filling sees every declaration.
+        let dtd = parse_dtd("r -> a, x?; a -> #; x -> y; y -> x; @a: id; @x: ref;").unwrap();
+        let gen = TreeGenerator::new(&dtd);
+        assert_eq!(gen.dtd(), &dtd);
+        assert!(gen.is_terminating("a"));
+        assert!(!gen.is_terminating("x"));
+        let mut doc = Document::new("x");
+        let root = doc.root();
+        gen.expand_minimal(&mut doc, root);
+        assert_eq!(doc.len(), 1);
+        assert_eq!(doc.attr(root, "ref"), Some("0"));
+        let tree = gen.minimal_tree("r").unwrap();
+        assert!(validate(&tree, &dtd).is_ok());
+    }
+
+    #[test]
+    fn nonterminating_root_generator_resolves_no_type() {
+        let dtd = parse_dtd("r -> r, a; a -> #;").unwrap();
+        let gen = TreeGenerator::new(&dtd);
+        assert_eq!(gen.dtd(), &dtd);
+        assert!(gen.minimal_tree("r").is_none());
+        assert!(gen.minimal_tree("a").is_none());
+        assert!(!gen.is_terminating("a"));
+        let doc = gen.random_tree(&mut StdRng::seed_from_u64(3), 3, 3);
+        assert_eq!(doc.len(), 1);
     }
 
     #[test]

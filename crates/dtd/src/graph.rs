@@ -245,7 +245,8 @@ pub fn terminating_types(dtd: &Dtd) -> BTreeSet<String> {
 }
 
 /// Minimal achievable subtree height per terminating element type: a leaf-only expansion
-/// has height 1.  Used by the tree generator to steer expansions towards termination.
+/// has height 1.  The tree generator runs the same fixpoint over interned content models;
+/// this one, over `String`-keyed ones, is the reference its tests compare against.
 pub fn minimal_heights(dtd: &Dtd) -> BTreeMap<String, usize> {
     let mut heights: BTreeMap<String, usize> = BTreeMap::new();
     loop {

@@ -39,8 +39,9 @@
 //! declines having counted and inserted nothing.  Every operation takes `&self`, so
 //! one workspace is shared across batch workers and concurrent requests.  The DTD
 //! registry is append-only, like the query table: a registration parses and builds
-//! with no lock held and only then appends under the registry's own short lock, so
-//! it never waits for, or holds back, a decide.  Decisions are stored and served as
+//! holding only its text's registration gate (so racing registrations of one text
+//! build it once) and only then appends under the registry's own short lock, so it
+//! never waits for, or holds back, a decide.  Decisions are stored and served as
 //! [`Arc<Decision>`]: a cache hit is a pointer bump, never a witness-document clone.
 
 use crate::canonical::{CanonicalCache, DtdKey, StoreEntry};
@@ -334,6 +335,10 @@ pub struct Workspace {
     /// The DTD registry, behind its own lock.  It is held only to probe, push or
     /// clone a slot out: never across a parse, a build, store I/O or a decide.
     dtds: RwLock<DtdTable>,
+    /// One gate per canonical text being registered: racing registrations of a text
+    /// queue on it, so the text is built (and saved) once.  An entry lives only while
+    /// its registration runs.
+    registering: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// The query interner, behind its own lock so interning takes `&self`.  It is
     /// never held while canonicalising or deciding, and an intern leaves it valid at
     /// every step (a query is pushed before its spelling names it).
@@ -405,28 +410,58 @@ impl Workspace {
     /// whether its artifacts came out of the persistent store.
     ///
     /// The DTD is parsed, canonicalised and materialised (loaded from the store or
-    /// built, then saved) with no lock held; only the append takes the registry's
-    /// write lock, re-probing under it.  When two registrations of one text race,
-    /// the first append keeps its id and the other counts as a reuse.
+    /// built, then saved) with no registry lock held; only the append takes the
+    /// registry's write lock.  Registrations of one new text race through a gate
+    /// held across the materialisation: the first builds and appends, and each of the
+    /// others, once through, finds the text registered and counts as a reuse.
+    /// Registrations of different texts never wait for each other.
     pub fn register_dtd_report(&self, text: &str) -> Result<RegisterOutcome, ServiceError> {
         let dtd = parse_dtd(text).map_err(|e| ServiceError::DtdParse {
             message: e.message.clone(),
             span: (e.span.offset, e.span.len),
         })?;
         let canonical = dtd.to_string();
-        let registered = read_recovering(&self.dtds)
-            .by_canonical
-            .get(&canonical)
-            .copied();
-        if let Some(id) = registered {
+        if let Some(id) = self.registered(&canonical) {
             return Ok(self.reused(id));
         }
+        let gate = Arc::clone(
+            lock_recovering(&self.registering)
+                .entry(canonical.clone())
+                .or_default(),
+        );
+        let turn = lock_recovering(&gate);
+        let outcome = match self.registered(&canonical) {
+            Some(id) => self.reused(id),
+            None => self.append(dtd, canonical.clone()),
+        };
+        // Retire the gate, unless a registration that arrived after it was retired
+        // has already put up a new one.  Later arrivals find the text registered.
+        let mut registering = lock_recovering(&self.registering);
+        if registering
+            .get(&canonical)
+            .is_some_and(|current| Arc::ptr_eq(current, &gate))
+        {
+            registering.remove(&canonical);
+        }
+        drop(registering);
+        drop(turn);
+        Ok(outcome)
+    }
+
+    /// The id of a registered canonical text.
+    fn registered(&self, canonical: &str) -> Option<DtdId> {
+        read_recovering(&self.dtds)
+            .by_canonical
+            .get(canonical)
+            .copied()
+    }
+
+    /// Materialise a text that is not registered, and append it to the registry.
+    /// The caller holds the text's registration gate.
+    fn append(&self, dtd: Dtd, canonical: String) -> RegisterOutcome {
         let (artifacts, from_store) = self.materialize(dtd, canonical.clone());
         let key = self.canonical.dtd_key(&canonical);
         let mut table = write_recovering(&self.dtds);
-        if let Some(&id) = table.by_canonical.get(&canonical) {
-            return Ok(self.reused(id));
-        }
         CacheStats::bump(&self.stats.dtds_registered);
         let id = DtdId(table.slots.len());
         table.slots.push(Arc::new(DtdSlot {
@@ -439,11 +474,11 @@ impl Workspace {
         drop(table);
         CacheStats::bump(&self.stats.resident_dtds);
         self.enforce_residency(id);
-        Ok(RegisterOutcome {
+        RegisterOutcome {
             id,
             reused: false,
             from_store,
-        })
+        }
     }
 
     /// Count a registration of an already registered DTD.
@@ -1497,13 +1532,21 @@ mod tests {
 
     #[test]
     fn racing_registrations_of_one_text_share_the_first_id() {
-        let ws = Workspace::default();
+        let dir = std::env::temp_dir().join(format!("xpsat-ws-race-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::ArtifactStore::open(&dir).unwrap();
+        let ws = Workspace::default().with_store(store);
         let ids = on_eight_threads(|_| ws.register_dtd(DTD_A).unwrap());
         assert!(ids.iter().all(|&id| id == DtdId(0)), "{ids:?}");
         let stats = ws.stats();
         assert_eq!(stats.dtds_registered, 1, "{stats}");
         assert_eq!(stats.dtds_reused, 7, "{stats}");
+        // One build and at most one save: the racers wait for the first builder.
+        assert_eq!(stats.classifications, 1, "{stats}");
+        assert!(stats.artifact_store_writes <= 1, "{stats}");
         assert_eq!(ws.dtd_count(), 1);
+        assert!(lock_recovering(&ws.registering).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
