@@ -18,10 +18,6 @@
 //! * the warm-workspace batch path: `Workspace::decide_batch` over a corpus of 100+
 //!   distinct queries on one registered DTD (single-threaded, empty decision cache)
 //!   against the cold per-query loop;
-//! * a **thread-scaling sweep** of the same batch at 1/2/4/8 workers (fresh workspace
-//!   per run).  The report records the host's `available_parallelism` alongside — on a
-//!   single-core container the sweep measures scheduling overhead, not parallel
-//!   speedup, and readers must interpret it against the `cpus` field;
 //! * a **compiled-VM bucket** — the batch corpus' in-fragment queries lowered once to
 //!   flat decision programs and replayed in the VM, against the AST solver's warm
 //!   dispatch on the same artifacts (compile cost reported separately, since it is
@@ -334,8 +330,8 @@ fn run() {
             std::hint::black_box(solver.decide(&batch_dtd, q));
         }
     });
-    let time_warm_batch = |threads: usize| -> f64 {
-        let samples: Vec<f64> = (0..iters)
+    let warm_workspace_ns = median(
+        (0..iters)
             .map(|_| {
                 // Fresh workspace per iteration so the decision cache is empty and the
                 // measurement covers real solver work over shared artifacts.
@@ -343,13 +339,11 @@ fn run() {
                 let dtd_id = register(&ws);
                 let ids: Vec<_> = batch_qs.iter().map(|q| ws.intern_path(q.clone())).collect();
                 let start = Instant::now();
-                std::hint::black_box(ws.decide_batch(dtd_id, &ids, threads, None, None).unwrap());
+                std::hint::black_box(ws.decide_batch(dtd_id, &ids, 1, None, None).unwrap());
                 start.elapsed().as_nanos() as f64 / batch_qs.len() as f64
             })
-            .collect();
-        median(samples)
-    };
-    let warm_workspace_ns = time_warm_batch(1);
+            .collect(),
+    );
     println!(
         "batch ({} queries)  cold-loop {} ns/q   warm-workspace {} ns/q   speedup {:.2}x",
         batch_qs.len(),
@@ -358,34 +352,10 @@ fn run() {
         cold_loop_ns / warm_workspace_ns
     );
 
-    // Thread-scaling sweep over the same warm batch.  The workspace caps its worker
-    // pool at the hardware parallelism (oversubscription only adds overhead for
-    // CPU-bound work), so requested widths sharing one *effective* width are the same
-    // configuration and are measured once — on a single-core host the whole sweep
-    // degenerates to one measurement, which is exactly what the hardware can show.
+    // The host's parallelism, recorded so readers can interpret every timing.
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut by_effective: std::collections::BTreeMap<usize, f64> =
-        [(1usize, warm_workspace_ns)].into_iter().collect();
-    let mut sweep_sections = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let effective = workers.min(cpus).min(batch_qs.len().max(1));
-        let ns = *by_effective
-            .entry(effective)
-            .or_insert_with(|| time_warm_batch(effective));
-        let qps = 1e9 / ns;
-        println!(
-            "thread-scaling  {workers} worker(s) (effective {effective})  {} ns/q   {:.0} q/s",
-            json_f64(ns),
-            qps
-        );
-        sweep_sections.push(format!(
-            "      {{\"threads\": {workers}, \"effective_threads\": {effective}, \"warm_workspace_ns\": {}, \"throughput_qps\": {:.0}}}",
-            json_f64(ns),
-            qps
-        ));
-    }
 
     // Compiled-VM bucket: lower the batch corpus' in-fragment queries to decision
     // programs once, then replay them in the VM against the AST solver's warm
@@ -599,7 +569,7 @@ fn run() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"xpsat-perf-v4\",\n  \"iters\": {iters},\n  \"cpus\": {cpus},\n  \"engines\": {{\n{}\n  }},\n  \"negation_heavy\": {{\"queries\": {}, \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}, \"dispatch_ok\": {}}},\n  \"batch\": {{\"queries\": {}, \"cold_loop_ns\": {}, \"warm_workspace_ns\": {}, \"speedup\": {:.2}}},\n  \"thread_scaling\": {{\n    \"queries\": {},\n    \"workers\": [\n{}\n    ]\n  }},\n  \"compiled_vm\": {{\"queries\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"compile_ns\": {}, \"vm_warm_ns\": {}, \"ast_warm_ns\": {}, \"speedup\": {:.2}}},\n  \"canonical_cache\": {{\"queries\": {}, \"classes\": {}, \"hits\": {}, \"recomputes\": {}, \"lone_tenant_ns\": {}, \"shared_hit_ns\": {}, \"speedup\": {:.2}}},\n  \"realistic_dtds\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"xpsat-perf-v4\",\n  \"iters\": {iters},\n  \"cpus\": {cpus},\n  \"engines\": {{\n{}\n  }},\n  \"negation_heavy\": {{\"queries\": {}, \"cold_ns\": {}, \"warm_ns\": {}, \"speedup\": {:.2}, \"dispatch_ok\": {}}},\n  \"batch\": {{\"queries\": {}, \"cold_loop_ns\": {}, \"warm_workspace_ns\": {}, \"speedup\": {:.2}}},\n  \"compiled_vm\": {{\"queries\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"compile_ns\": {}, \"vm_warm_ns\": {}, \"ast_warm_ns\": {}, \"speedup\": {:.2}}},\n  \"canonical_cache\": {{\"queries\": {}, \"classes\": {}, \"hits\": {}, \"recomputes\": {}, \"lone_tenant_ns\": {}, \"shared_hit_ns\": {}, \"speedup\": {:.2}}},\n  \"realistic_dtds\": {{\n{}\n  }}\n}}\n",
         engine_sections.join(",\n"),
         neg_qs.len(),
         json_f64(neg_cold_ns),
@@ -610,8 +580,6 @@ fn run() {
         json_f64(cold_loop_ns),
         json_f64(warm_workspace_ns),
         cold_loop_ns / warm_workspace_ns,
-        batch_qs.len(),
-        sweep_sections.join(",\n"),
         batch_qs.len(),
         programs.len(),
         batch_vm_coverage,

@@ -42,11 +42,6 @@ impl Budget {
         }
     }
 
-    /// Does this budget constrain anything at all?
-    pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.deadline.is_none()
-    }
-
     /// A fresh meter charging against this budget.
     pub fn meter(&self) -> BudgetMeter {
         BudgetMeter {

@@ -15,41 +15,19 @@
 //! This engine only *decides*; when a witness is needed the solver façade re-runs the
 //! (NP, but here equally complete) positive engine, which constructs one.
 
-use crate::sat::{SatError, Satisfiability};
+use crate::sat::SatError;
 use std::collections::BTreeMap;
 use xpsat_automata::BitSet;
-use xpsat_dtd::{classify, CompiledDtd, Dtd, DtdArtifacts, Sym};
-use xpsat_xpath::{closure, Features, Path, Qualifier};
+use xpsat_dtd::{CompiledDtd, DtdArtifacts, Sym};
+use xpsat_xpath::{closure, Fragment, Path, Qualifier};
 
 const ENGINE: &str = "disjunction-free (Theorem 6.8)";
 
-/// Does the query lie in `X(↓, ↓*, ∪, [])` with label tests (no negation, data values,
-/// upward or sibling axes)?
-pub fn supports_query(query: &Path) -> bool {
-    supports_query_features(&Features::of_path(query))
-}
-
-/// [`supports_query`] over precomputed features (the solver computes them once).
-pub fn supports_query_features(f: &Features) -> bool {
-    !f.negation && !f.data_value && !f.has_upward() && !f.has_sibling()
-}
-
-/// Is the DTD disjunction-free (the class this engine is complete for)?
-pub fn supports_dtd(dtd: &Dtd) -> bool {
-    classify(dtd).disjunction_free
-}
-
-/// Decide `(query, dtd)`.  Complete when [`supports_query`] and [`supports_dtd`] hold.
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path) -> Result<bool, SatError> {
-    decide_with(&DtdArtifacts::build(dtd), query)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts.
+/// Decide `(query, dtd)` against precompiled artifacts.  Complete for
+/// [`Fragment::downward_positive`] under disjunction-free DTDs; other queries and DTDs
+/// are rejected.
 pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<bool, SatError> {
-    if !supports_query(query) {
+    if !Fragment::downward_positive().permits_path(query) {
         return Err(SatError::UnsupportedFragment {
             engine: ENGINE,
             detail: format!("query {query} uses negation, data values, upward or sibling axes"),
@@ -182,7 +160,7 @@ impl<'a> Tables<'a> {
             Qualifier::LabelIs(l) => self.compiled.elem_sym(l) == Some(a),
             Qualifier::And(q1, q2) => self.qual_holds(q1, a) && self.qual_holds(q2, a),
             Qualifier::Or(q1, q2) => self.qual_holds(q1, a) || self.qual_holds(q2, a),
-            // Data values and negation are excluded by `supports_query`; treat
+            // Data values and negation are outside the fragment; treat
             // defensively as unsatisfiable.
             _ => {
                 debug_assert!(false, "unsupported qualifier reached the djfree engine");
@@ -192,70 +170,59 @@ impl<'a> Tables<'a> {
     }
 }
 
-/// Convenience wrapper returning [`Satisfiability`] without a witness (the façade
-/// supplies one through the positive engine when required).
-pub fn decide_satisfiability(dtd: &Dtd, query: &Path) -> Result<Satisfiability, SatError> {
-    decide(dtd, query).map(|sat| {
-        if sat {
-            // The caller is responsible for attaching a witness; return a placeholder
-            // witnessing document via the positive engine.
-            match crate::engines::positive::decide(dtd, query) {
-                Ok(Satisfiability::Satisfiable(doc)) => Satisfiability::Satisfiable(doc),
-                _ => Satisfiability::Unknown,
-            }
-        } else {
-            Satisfiability::Unsatisfiable
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xpsat_dtd::parse_dtd;
     use xpsat_xpath::parse_path;
 
+    fn artifacts(text: &str) -> DtdArtifacts {
+        DtdArtifacts::build(&parse_dtd(text).unwrap())
+    }
+
+    fn decide(artifacts: &DtdArtifacts, query: &str) -> Result<bool, SatError> {
+        decide_with(artifacts, &parse_path(query).unwrap())
+    }
+
     #[test]
     fn conjunctions_decompose_under_disjunction_free_dtds() {
         // Disjunction-free: every book has both a title and an author list.
-        let dtd =
-            parse_dtd("r -> book*; book -> title, author+; title -> #; author -> #;").unwrap();
-        assert!(decide(&dtd, &parse_path("book[title and author]").unwrap()).unwrap());
-        assert!(decide(&dtd, &parse_path("book[title][author]").unwrap()).unwrap());
-        assert!(!decide(&dtd, &parse_path("book[title and price]").unwrap()).unwrap());
-        assert!(!decide(&dtd, &parse_path("book/title/author").unwrap()).unwrap());
+        let dtd = artifacts("r -> book*; book -> title, author+; title -> #; author -> #;");
+        assert!(decide(&dtd, "book[title and author]").unwrap());
+        assert!(decide(&dtd, "book[title][author]").unwrap());
+        assert!(!decide(&dtd, "book[title and price]").unwrap());
+        assert!(!decide(&dtd, "book/title/author").unwrap());
     }
 
     #[test]
     fn label_tests_and_descendants() {
-        let dtd = parse_dtd("r -> a; a -> b*; b -> c; c -> #;").unwrap();
-        assert!(decide(&dtd, &parse_path("**[lab() = c]").unwrap()).unwrap());
-        assert!(!decide(&dtd, &parse_path("**[lab() = z]").unwrap()).unwrap());
-        assert!(decide(&dtd, &parse_path("a[b/c]").unwrap()).unwrap());
+        let dtd = artifacts("r -> a; a -> b*; b -> c; c -> #;");
+        assert!(decide(&dtd, "**[lab() = c]").unwrap());
+        assert!(!decide(&dtd, "**[lab() = z]").unwrap());
+        assert!(decide(&dtd, "a[b/c]").unwrap());
     }
 
     #[test]
     fn artifacts_can_be_reused_across_queries() {
-        let dtd = parse_dtd("r -> a; a -> b*; b -> c; c -> #;").unwrap();
-        let artifacts = DtdArtifacts::build(&dtd);
-        assert!(decide_with(&artifacts, &parse_path("a[b/c]").unwrap()).unwrap());
-        assert!(!decide_with(&artifacts, &parse_path("a[c]").unwrap()).unwrap());
+        let dtd = artifacts("r -> a; a -> b*; b -> c; c -> #;");
+        assert!(decide(&dtd, "a[b/c]").unwrap());
+        assert!(!decide(&dtd, "a[c]").unwrap());
     }
 
     #[test]
     fn dtds_with_disjunction_are_rejected() {
-        let dtd = parse_dtd("r -> a | b; a -> #; b -> #;").unwrap();
+        let dtd = artifacts("r -> a | b; a -> #; b -> #;");
         assert!(matches!(
-            decide(&dtd, &parse_path("a[b]").unwrap()),
+            decide(&dtd, "a[b]"),
             Err(SatError::UnsupportedDtd { .. })
         ));
     }
 
     #[test]
     fn queries_with_negation_are_rejected() {
-        let dtd = parse_dtd("r -> a; a -> #;").unwrap();
+        let dtd = artifacts("r -> a; a -> #;");
         assert!(matches!(
-            decide(&dtd, &parse_path("a[not(b)]").unwrap()),
+            decide(&dtd, "a[not(b)]"),
             Err(SatError::UnsupportedFragment { .. })
         ));
     }

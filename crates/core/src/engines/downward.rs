@@ -14,38 +14,15 @@
 use crate::sat::{SatError, Satisfiability};
 use std::collections::BTreeMap;
 use xpsat_automata::BitSet;
-use xpsat_dtd::{CompiledDtd, Dtd, DtdArtifacts, Sym};
-use xpsat_xpath::{closure, Features, Path};
+use xpsat_dtd::{CompiledDtd, DtdArtifacts, Sym};
+use xpsat_xpath::{closure, Fragment, Path};
 
 const ENGINE: &str = "downward (Theorem 4.1)";
 
-/// Does the query lie in `X(↓, ↓*, ∪)` (child-label steps, wildcard, descendant-or-self,
-/// union, composition — no qualifiers)?
-pub fn supports(query: &Path) -> bool {
-    supports_features(&Features::of_path(query))
-}
-
-/// [`supports`] over precomputed features (the solver computes them once per dispatch).
-pub fn supports_features(f: &Features) -> bool {
-    !f.qualifier
-        && !f.negation
-        && !f.data_value
-        && !f.has_upward()
-        && !f.has_sibling()
-        && !f.label_test
-}
-
-/// Decide `(query, dtd)`; complete exactly for the fragment reported by [`supports`].
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path) -> Result<Satisfiability, SatError> {
-    decide_with(&DtdArtifacts::build(dtd), query)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts.
+/// Decide `(query, dtd)` against precompiled artifacts; complete exactly for
+/// [`Fragment::downward_no_qualifiers`], and queries outside it are rejected.
 pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiability, SatError> {
-    if !supports(query) {
+    if !Fragment::downward_no_qualifiers().permits_path(query) {
         return Err(SatError::UnsupportedFragment {
             engine: ENGINE,
             detail: format!("query {query} uses operators outside X(child, desc, union)"),
@@ -205,7 +182,7 @@ mod tests {
     fn check(dtd_text: &str, query_text: &str, expected: bool) {
         let dtd = parse_dtd(dtd_text).unwrap();
         let query = parse_path(query_text).unwrap();
-        match decide(&dtd, &query).unwrap() {
+        match decide_with(&DtdArtifacts::build(&dtd), &query).unwrap() {
             Satisfiability::Satisfiable(doc) => {
                 assert!(
                     expected,
@@ -271,8 +248,8 @@ mod tests {
 
     #[test]
     fn unsupported_fragment_is_rejected() {
-        let dtd = parse_dtd("r -> a;").unwrap();
-        assert!(decide(&dtd, &parse_path("a[b]").unwrap()).is_err());
-        assert!(decide(&dtd, &parse_path("a/..").unwrap()).is_err());
+        let artifacts = DtdArtifacts::build(&parse_dtd("r -> a;").unwrap());
+        assert!(decide_with(&artifacts, &parse_path("a[b]").unwrap()).is_err());
+        assert!(decide_with(&artifacts, &parse_path("a/..").unwrap()).is_err());
     }
 }

@@ -56,25 +56,8 @@ impl Default for EnumerationLimits {
     }
 }
 
-/// Decide `(query, dtd)` by bounded enumeration of conforming documents.
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path, limits: &EnumerationLimits) -> Satisfiability {
-    decide_with(&DtdArtifacts::build(dtd), query, limits)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts.
-pub fn decide_with(
-    artifacts: &DtdArtifacts,
-    query: &Path,
-    limits: &EnumerationLimits,
-) -> Satisfiability {
-    decide_with_budget(artifacts, query, limits, &BudgetMeter::unlimited())
-        .expect("unlimited meter never exhausts")
-}
-
-/// Decide `(query, dtd)` under a step/deadline budget.  The meter is charged per
+/// Decide `(query, dtd)` by bounded enumeration of conforming documents, against
+/// precompiled artifacts and under a step/deadline budget.  The meter is charged per
 /// subtree assembled and per candidate document evaluated; on exhaustion the search
 /// stops where it stands and reports [`Exhausted`] (any witness found before that
 /// point would already have been returned).
@@ -132,15 +115,10 @@ pub fn decide_with_budget(
     )
 }
 
-/// Is the bounded search exhaustive for this DTD under the given limits (so that an
-/// `Unsatisfiable` answer is definitive)?  This is a quick syntactic check used by the
-/// solver façade to report completeness; [`decide`] itself tracks truncation exactly.
-pub fn is_exhaustive_for(dtd: &Dtd, limits: &EnumerationLimits) -> bool {
-    is_exhaustive_for_class(&xpsat_dtd::classify(dtd), limits)
-}
-
-/// [`is_exhaustive_for`] given an already-computed classification (from precomputed
-/// [`DtdArtifacts`]), so batch callers do not re-classify per query.
+/// Is the bounded search exhaustive for DTDs of this class under the given limits (so
+/// that an `Unsatisfiable` answer is definitive)?  This is a quick syntactic check used
+/// by the solver façade to report completeness; [`decide_with_budget`] itself tracks
+/// truncation exactly.
 pub fn is_exhaustive_for_class(class: &DtdClass, limits: &EnumerationLimits) -> bool {
     !class.recursive && !class.has_star && class.depth_bound.is_some_and(|d| d <= limits.max_depth)
 }
@@ -365,11 +343,21 @@ fn try_valuations(
 mod tests {
     use super::*;
     use crate::sat::verify_witness;
-    use xpsat_dtd::parse_dtd;
+    use xpsat_dtd::{classify, parse_dtd};
     use xpsat_xpath::parse_path;
 
     fn limits() -> EnumerationLimits {
         EnumerationLimits::default()
+    }
+
+    fn decide(dtd: &Dtd, query: &Path, limits: &EnumerationLimits) -> Satisfiability {
+        decide_with_budget(
+            &DtdArtifacts::build(dtd),
+            query,
+            limits,
+            &BudgetMeter::unlimited(),
+        )
+        .expect("unlimited meter never exhausts")
     }
 
     #[test]
@@ -474,15 +462,10 @@ mod tests {
 
     #[test]
     fn exhaustiveness_classification() {
-        let finite = parse_dtd("r -> a, b?; a -> #; b -> #;").unwrap();
-        assert!(is_exhaustive_for(&finite, &limits()));
-        assert!(is_exhaustive_for_class(
-            &xpsat_dtd::classify(&finite),
-            &limits()
-        ));
-        let starred = parse_dtd("r -> a*; a -> #;").unwrap();
-        assert!(!is_exhaustive_for(&starred, &limits()));
-        let recursive = parse_dtd("r -> c; c -> c | #;").unwrap();
-        assert!(!is_exhaustive_for(&recursive, &limits()));
+        let exhaustive =
+            |text: &str| is_exhaustive_for_class(&classify(&parse_dtd(text).unwrap()), &limits());
+        assert!(exhaustive("r -> a, b?; a -> #; b -> #;"));
+        assert!(!exhaustive("r -> a*; a -> #;"));
+        assert!(!exhaustive("r -> c; c -> c | #;"));
     }
 }

@@ -35,21 +35,22 @@ use crate::sat::{SatError, Satisfiability};
 use crate::witness::fill_missing_attributes;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use xpsat_automata::BitSet;
-use xpsat_dtd::{CompiledDtd, Dtd, DtdArtifacts, Sym};
+use xpsat_dtd::{CompiledDtd, DtdArtifacts, Sym};
 use xpsat_xmltree::{Document, NodeId};
-use xpsat_xpath::{Features, Path, Qualifier};
+use xpsat_xpath::{Fragment, Path, Qualifier};
 
 const ENGINE: &str = "negation fixpoint (Theorems 5.2/5.3)";
 
-/// Does the query lie in `X(↓, ↓*, ∪, [], ¬)` with label tests (no data values, upward
-/// or sibling axes)?
-pub fn supports(query: &Path) -> bool {
-    supports_features(&Features::of_path(query))
-}
-
-/// [`supports`] over precomputed features (the solver computes them once per dispatch).
-pub fn supports_features(f: &Features) -> bool {
-    !f.data_value && !f.has_upward() && !f.has_sibling()
+/// The fragment-rejection error of this engine, unless [`Fragment::downward_negation`]
+/// permits the query.
+fn check_fragment(query: &Path) -> Result<(), SatError> {
+    if Fragment::downward_negation().permits_path(query) {
+        return Ok(());
+    }
+    Err(SatError::UnsupportedFragment {
+        engine: ENGINE,
+        detail: format!("query {query} uses data values, upward or sibling axes"),
+    })
 }
 
 /// A profile: the set of closure paths (by index) true at a node, as a bitset — profile
@@ -89,27 +90,19 @@ enum HeadAlt {
     StepPending(Vec<Qualifier>, LabelCk, Path, usize),
 }
 
-/// Decide `(query, dtd)`; complete for the fragment reported by [`supports`].
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path) -> Result<Satisfiability, SatError> {
-    decide_with(&DtdArtifacts::build(dtd), query)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts.
+/// Decide `(query, dtd)` against precompiled artifacts (unmetered); complete for
+/// [`Fragment::downward_negation`].  Budgeted callers [`prepare`] the query and run
+/// [`decide_prepared_budgeted`].
 pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiability, SatError> {
     let Some(compiled) = artifacts.compiled() else {
-        if !supports(query) {
-            return Err(SatError::UnsupportedFragment {
-                engine: ENGINE,
-                detail: format!("query {query} uses data values, upward or sibling axes"),
-            });
-        }
+        check_fragment(query)?;
         return Ok(Satisfiability::Unsatisfiable);
     };
     let prepared = prepare(compiled, query)?;
-    Ok(decide_prepared(compiled, &prepared))
+    Ok(
+        decide_prepared_budgeted(compiled, &prepared, &BudgetMeter::unlimited())
+            .expect("unlimited meter never exhausts"),
+    )
 }
 
 /// Build the reusable static analysis of `query` against `compiled`: the suffix
@@ -122,22 +115,12 @@ pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiabil
 /// A [`PreparedQuery`] resolves element labels to this compile's [`Sym`]s; it must only
 /// ever be replayed against the same compile (or a byte-identical one).
 pub fn prepare(compiled: &CompiledDtd, query: &Path) -> Result<PreparedQuery, SatError> {
-    if !supports(query) {
-        return Err(SatError::UnsupportedFragment {
-            engine: ENGINE,
-            detail: format!("query {query} uses data values, upward or sibling axes"),
-        });
-    }
+    check_fragment(query)?;
     PreparedQuery::build(compiled, query)
 }
 
-/// Run the fixpoint of a previously [`prepare`]d query against the same compile.
-pub fn decide_prepared(compiled: &CompiledDtd, prepared: &PreparedQuery) -> Satisfiability {
-    decide_prepared_budgeted(compiled, prepared, &BudgetMeter::unlimited())
-        .expect("unlimited meter never exhausts")
-}
-
-/// Run the fixpoint under a step/deadline budget.  The EXPTIME lives in the product of
+/// Run the fixpoint of a previously [`prepare`]d query against the same compile,
+/// under a step/deadline budget.  The EXPTIME lives in the product of
 /// the Glushkov automata with the demand-bit unions; the meter is charged per product
 /// state expanded, so exhaustion surfaces within a bounded amount of extra work.
 pub fn decide_prepared_budgeted(
@@ -167,8 +150,7 @@ pub fn decide_prepared_budgeted(
 /// head-normal forms.  Owned — see [`prepare`] for the memoisation contract.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    query: Path,
-    /// Closure index of `query` itself.
+    /// Closure index of the (right-associated) query itself.
     query_index: usize,
     closure: Vec<Path>,
     /// Closure indices sorted by structural size: evaluation order for `profile_of`.
@@ -182,20 +164,9 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// The right-associated form of the prepared query.
-    pub fn query(&self) -> &Path {
-        &self.query
-    }
-
-    /// Number of paths in the suffix closure (a size proxy for memo accounting).
-    pub fn closure_len(&self) -> usize {
-        self.closure.len()
-    }
-
     fn build(compiled: &CompiledDtd, query: &Path) -> Result<PreparedQuery, SatError> {
         let query = query.right_assoc();
         let mut analysis = PreparedQuery {
-            query: query.clone(),
             query_index: 0,
             closure: Vec::new(),
             eval_order: Vec::new(),
@@ -428,7 +399,7 @@ impl PreparedQuery {
                     || self.eval_qualifier(compiled, b, label, truth)
             }
             Qualifier::Not(inner) => !self.eval_qualifier(compiled, inner, label, truth),
-            // Data values are rejected by `supports`.
+            // Data values are outside the fragment.
             _ => false,
         }
     }
@@ -667,7 +638,7 @@ fn head_normal_form(path: &Path) -> Vec<RawAlt> {
                 ),
             })
             .collect(),
-        // Upward and sibling axes are excluded by `supports`.
+        // Upward and sibling axes are outside the fragment.
         _ => vec![],
     }
 }
@@ -696,7 +667,7 @@ mod tests {
     fn check(dtd_text: &str, query_text: &str, expected: bool) {
         let dtd = parse_dtd(dtd_text).unwrap();
         let query = parse_path(query_text).unwrap();
-        match decide(&dtd, &query).unwrap() {
+        match decide_with(&DtdArtifacts::build(&dtd), &query).unwrap() {
             Satisfiability::Satisfiable(doc) => {
                 assert!(
                     expected,
@@ -771,8 +742,8 @@ mod tests {
 
     #[test]
     fn unsupported_fragments_are_rejected() {
-        let dtd = parse_dtd("r -> a;").unwrap();
-        assert!(decide(&dtd, &parse_path("a/..").unwrap()).is_err());
-        assert!(decide(&dtd, &parse_path("a[@x = \"1\"]").unwrap()).is_err());
+        let artifacts = DtdArtifacts::build(&parse_dtd("r -> a;").unwrap());
+        assert!(decide_with(&artifacts, &parse_path("a/..").unwrap()).is_err());
+        assert!(decide_with(&artifacts, &parse_path("a[@x = \"1\"]").unwrap()).is_err());
     }
 }

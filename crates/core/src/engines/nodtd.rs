@@ -9,21 +9,18 @@
 //! A witness is produced by delegating to the positive engine under the universal DTD of
 //! Proposition 3.1, which is how the solver façade exposes the no-DTD problem anyway.
 
+use crate::budget::BudgetMeter;
 use crate::sat::{SatError, Satisfiability};
 use std::collections::{BTreeMap, BTreeSet};
-use xpsat_xpath::{closure, Features, Path, Qualifier};
+use xpsat_dtd::DtdArtifacts;
+use xpsat_xpath::{closure, Fragment, Path, Qualifier};
 
 const ENGINE: &str = "no-DTD (Theorem 6.11)";
 
-/// Does the query lie in `X(↓, ↓*, ∪, [])` with label tests?
-pub fn supports(query: &Path) -> bool {
-    let f = Features::of_path(query);
-    !f.negation && !f.data_value && !f.has_upward() && !f.has_sibling()
-}
-
-/// Decide satisfiability of `query` in the absence of any DTD.
+/// Decide satisfiability of `query` in the absence of any DTD; queries outside
+/// [`Fragment::downward_positive`] are rejected.
 pub fn decide(query: &Path) -> Result<bool, SatError> {
-    if !supports(query) {
+    if !Fragment::downward_positive().permits_path(query) {
         return Err(SatError::UnsupportedFragment {
             engine: ENGINE,
             detail: format!("query {query} is outside X(child, desc, union, qualifiers)"),
@@ -53,16 +50,20 @@ pub fn decide_with_witness(query: &Path) -> Result<Satisfiability, SatError> {
     if !decide(query)? {
         return Ok(Satisfiability::Unsatisfiable);
     }
-    let (dtd, rooted_query) = crate::transform::no_dtd_instances(query)
+    crate::transform::no_dtd_instances(query)
         .into_iter()
-        .find(|(dtd, q)| {
-            matches!(
-                crate::engines::positive::decide(dtd, q),
-                Ok(Satisfiability::Satisfiable(_))
-            )
+        .find_map(|(dtd, q)| {
+            let artifacts = DtdArtifacts::build(&dtd);
+            match crate::engines::positive::decide_with_budget(
+                &artifacts,
+                &q,
+                &BudgetMeter::unlimited(),
+            ) {
+                Ok(Ok(sat @ Satisfiability::Satisfiable(_))) => Some(sat),
+                _ => None,
+            }
         })
-        .ok_or(SatError::BudgetExceeded { engine: ENGINE })?;
-    crate::engines::positive::decide(&dtd, &rooted_query)
+        .ok_or(SatError::BudgetExceeded { engine: ENGINE })
 }
 
 struct Tables {

@@ -39,53 +39,27 @@ use crate::sat::{SatError, Satisfiability};
 use crate::witness::fill_missing_attributes;
 use std::collections::{BTreeMap, HashMap};
 use xpsat_automata::{BitSet, CoverDemand};
-use xpsat_dtd::{CompiledDtd, Dtd, DtdArtifacts, Sym};
+use xpsat_dtd::{CompiledDtd, DtdArtifacts, Sym};
 use xpsat_xmltree::{Document, NodeId};
-use xpsat_xpath::{CmpOp, Features, Path, Qualifier};
+use xpsat_xpath::{CmpOp, Fragment, Path, Qualifier};
 
 const ENGINE: &str = "positive (Theorem 4.4)";
 
-/// Does the query lie in the downward positive fragment `X(↓, ↓*, ∪, [], =)` with label
-/// tests?
-pub fn supports(query: &Path) -> bool {
-    supports_features(&Features::of_path(query))
-}
-
-/// [`supports`] over precomputed features (the solver computes them once per dispatch).
-pub fn supports_features(f: &Features) -> bool {
-    !f.negation && !f.has_upward() && !f.has_sibling()
-}
-
-/// Decide `(query, dtd)`, returning a witness on success.  Complete for the fragment
-/// reported by [`supports`].
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path) -> Result<Satisfiability, SatError> {
-    decide_with(&DtdArtifacts::build(dtd), query)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts (unmetered).
-pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiability, SatError> {
-    match decide_with_budget(artifacts, query, &BudgetMeter::unlimited()) {
-        Ok(result) => result,
-        Err(_) => unreachable!("an unlimited meter cannot exhaust"),
-    }
-}
-
-/// Decide `(query, dtd)` under a budget meter.
+/// Decide `(query, dtd)` against precompiled artifacts under a budget meter,
+/// returning a witness on success.  Complete for
+/// [`Fragment::downward_positive_with_data`].
 ///
 /// The backtracking routing search is NP in the worst case, so without a meter a
 /// single hostile instance can pin a thread indefinitely; every alternative the
 /// search pops and every requirement assignment spends one step.  `Err(cause)`
 /// reports meter exhaustion mid-search; fragment rejection and the vacuous-DTD
-/// verdict come back inside `Ok` exactly as from [`decide_with`].
+/// verdict come back inside `Ok`.
 pub fn decide_with_budget(
     artifacts: &DtdArtifacts,
     query: &Path,
     meter: &BudgetMeter,
 ) -> Result<Result<Satisfiability, SatError>, Exhausted> {
-    if !supports(query) {
+    if !Fragment::downward_positive_with_data().permits_path(query) {
         return Ok(Err(SatError::UnsupportedFragment {
             engine: ENGINE,
             detail: format!("query {query} uses negation, upward or sibling axes"),
@@ -366,7 +340,7 @@ impl<'a> Search<'a> {
                     inner.extend(obs);
                     Some(vec![Branch::obligations(vec![Ob::At((*p).clone(), inner)])])
                 }
-                // Upward and sibling axes are excluded by `supports`.
+                // Upward and sibling axes are outside the fragment.
                 _ => None,
             },
         }
@@ -919,10 +893,15 @@ mod tests {
     use xpsat_dtd::parse_dtd;
     use xpsat_xpath::parse_path;
 
+    fn decide(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiability, SatError> {
+        decide_with_budget(artifacts, query, &BudgetMeter::unlimited())
+            .expect("an unlimited meter cannot exhaust")
+    }
+
     fn check(dtd_text: &str, query_text: &str, expected: bool) {
         let dtd = parse_dtd(dtd_text).unwrap();
         let query = parse_path(query_text).unwrap();
-        match decide(&dtd, &query).unwrap() {
+        match decide(&DtdArtifacts::build(&dtd), &query).unwrap() {
             Satisfiability::Satisfiable(doc) => {
                 assert!(
                     expected,
@@ -1018,9 +997,9 @@ mod tests {
 
     #[test]
     fn upward_queries_are_rejected() {
-        let dtd = parse_dtd("r -> a; a -> #;").unwrap();
-        assert!(decide(&dtd, &parse_path("a/..").unwrap()).is_err());
-        assert!(decide(&dtd, &parse_path("a[not(b)]").unwrap()).is_err());
+        let artifacts = DtdArtifacts::build(&parse_dtd("r -> a; a -> #;").unwrap());
+        assert!(decide(&artifacts, &parse_path("a/..").unwrap()).is_err());
+        assert!(decide(&artifacts, &parse_path("a[not(b)]").unwrap()).is_err());
     }
 
     #[test]
@@ -1032,7 +1011,7 @@ mod tests {
             ("x1[t and f]", false),
             (".[x1[t] and x2[f]]", true),
         ] {
-            let verdict = decide_with(&artifacts, &parse_path(q).unwrap()).unwrap();
+            let verdict = decide(&artifacts, &parse_path(q).unwrap()).unwrap();
             assert_eq!(
                 matches!(verdict, Satisfiability::Satisfiable(_)),
                 expected,

@@ -16,7 +16,7 @@
 use crate::sat::{SatError, Satisfiability};
 use crate::witness::fill_missing_attributes;
 use std::collections::BTreeMap;
-use xpsat_dtd::{CompiledDtd, Dtd, DtdArtifacts, Sym, SymNfa};
+use xpsat_dtd::{CompiledDtd, DtdArtifacts, Sym, SymNfa};
 use xpsat_xmltree::Document;
 use xpsat_xpath::Path;
 
@@ -30,11 +30,8 @@ enum Step {
     Left,
 }
 
-/// Does the query lie in `X(→, ←)` (label steps and immediate-sibling hops only)?
-pub fn supports(query: &Path) -> bool {
-    flatten(query).is_some()
-}
-
+/// The query's steps, or `None` when it lies outside `X(→, ←)`: exactly the queries
+/// [`xpsat_xpath::Fragment::sibling_no_qualifiers`] permits.
 fn flatten(query: &Path) -> Option<Vec<Step>> {
     let mut steps = Vec::new();
     if collect(query, &mut steps) {
@@ -73,15 +70,8 @@ enum SymStep {
     Left,
 }
 
-/// Decide `(query, dtd)`; complete for the fragment reported by [`supports`].
-///
-/// Convenience wrapper that compiles the artifacts for one call; batch callers should
-/// build [`DtdArtifacts`] once and use [`decide_with`].
-pub fn decide(dtd: &Dtd, query: &Path) -> Result<Satisfiability, SatError> {
-    decide_with(&DtdArtifacts::build(dtd), query)
-}
-
-/// Decide `(query, dtd)` against precompiled artifacts.
+/// Decide `(query, dtd)` against precompiled artifacts; complete for `X(→, ←)`, and
+/// queries outside it are rejected.
 pub fn decide_with(artifacts: &DtdArtifacts, query: &Path) -> Result<Satisfiability, SatError> {
     let Some(steps) = flatten(query) else {
         return Err(SatError::UnsupportedFragment {
@@ -379,7 +369,7 @@ mod tests {
     fn check(dtd_text: &str, query_text: &str, expected: bool) {
         let dtd = parse_dtd(dtd_text).unwrap();
         let query = parse_path(query_text).unwrap();
-        match decide(&dtd, &query).unwrap() {
+        match decide_with(&DtdArtifacts::build(&dtd), &query).unwrap() {
             Satisfiability::Satisfiable(doc) => {
                 assert!(
                     expected,
@@ -431,18 +421,13 @@ mod tests {
 
     #[test]
     fn queries_starting_with_sibling_hops_are_unsatisfiable() {
-        let dtd = parse_dtd("r -> a; a -> #;").unwrap();
-        let query = parse_path(">/a").unwrap();
-        assert!(matches!(
-            decide(&dtd, &query).unwrap(),
-            Satisfiability::Unsatisfiable
-        ));
+        check("r -> a; a -> #;", ">/a", false);
     }
 
     #[test]
     fn unsupported_operators_are_rejected() {
-        let dtd = parse_dtd("r -> a; a -> #;").unwrap();
-        assert!(decide(&dtd, &parse_path("a[b]").unwrap()).is_err());
-        assert!(decide(&dtd, &parse_path("a/>>").unwrap()).is_err());
+        let artifacts = DtdArtifacts::build(&parse_dtd("r -> a; a -> #;").unwrap());
+        assert!(decide_with(&artifacts, &parse_path("a[b]").unwrap()).is_err());
+        assert!(decide_with(&artifacts, &parse_path("a/>>").unwrap()).is_err());
     }
 }

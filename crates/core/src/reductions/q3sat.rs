@@ -106,20 +106,20 @@ fn clause_refutation_path(literals: &[xpsat_logic::Literal]) -> Option<Path> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::negation;
     use crate::sat::Satisfiability;
+    use crate::Solver;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use xpsat_xpath::Features;
+    use xpsat_xpath::Fragment;
 
     fn xpath_satisfiable(dtd: &Dtd, query: &Path) -> bool {
-        match negation::decide(dtd, query).unwrap() {
+        match Solver::default().decide(dtd, query).result {
             Satisfiability::Satisfiable(doc) => {
                 crate::sat::verify_witness(&doc, dtd, query).unwrap();
                 true
             }
             Satisfiability::Unsatisfiable => false,
-            Satisfiability::Unknown => panic!("negation engine must be definite"),
+            Satisfiability::Unknown => panic!("the negation fragment must be decided"),
         }
     }
 
@@ -128,9 +128,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let qbf = Qbf::random(&mut rng, 3, 4);
         let (dtd, query) = q3sat_to_downward_negation(&qbf);
-        let f = Features::of_path(&query);
-        assert!(!f.has_upward() && !f.has_sibling() && !f.data_value && !f.descendant);
-        assert!(f.negation && f.qualifier);
+        assert!(Fragment::downward_negation_nonrecursive().permits_path(&query));
+        assert!(!Fragment::downward_positive_with_data().permits_path(&query));
         assert!(!xpsat_dtd::classify(&dtd).recursive);
     }
 

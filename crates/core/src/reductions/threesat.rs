@@ -182,20 +182,20 @@ pub fn decode_assignment(witness: &Document, formula: &CnfFormula) -> BTreeMap<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::positive;
     use crate::sat::Satisfiability;
+    use crate::Solver;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xpsat_logic::dpll;
 
     fn xpath_satisfiable(dtd: &Dtd, query: &Path) -> bool {
-        match positive::decide(dtd, query).unwrap() {
+        match Solver::default().decide(dtd, query).result {
             Satisfiability::Satisfiable(doc) => {
                 crate::sat::verify_witness(&doc, dtd, query).unwrap();
                 true
             }
             Satisfiability::Unsatisfiable => false,
-            Satisfiability::Unknown => panic!("positive engine must be definite"),
+            Satisfiability::Unknown => panic!("the positive fragment must be decided"),
         }
     }
 
@@ -260,7 +260,8 @@ mod tests {
                 continue;
             }
             let (dtd, query) = threesat_to_downward_qualifiers(&formula);
-            let Satisfiability::Satisfiable(witness) = positive::decide(&dtd, &query).unwrap()
+            let Satisfiability::Satisfiable(witness) =
+                Solver::default().decide(&dtd, &query).result
             else {
                 panic!("reduction must be satisfiable for a satisfiable formula");
             };
@@ -276,7 +277,7 @@ mod tests {
     fn updown_encoding_round_trips_through_the_solver() {
         // The ↑-weaving query is outside the positive engine; use the full solver (the
         // rewriting path of Theorem 6.8(2)).
-        let solver = crate::Solver::default();
+        let solver = Solver::default();
         let mut rng = StdRng::seed_from_u64(505);
         for _ in 0..10 {
             let formula = CnfFormula::random_3sat(&mut rng, 3, 3);

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xpsat_dtd::{Dtd, DtdArtifacts, DtdClass};
-use xpsat_xpath::{Features, Path};
+use xpsat_xpath::{Features, Fragment, Path};
 
 /// Recommended stack size for threads that run [`Solver`] dispatch on untrusted
 /// input.  The positive engine's witness search recurses to its Lemma 4.5 depth
@@ -150,7 +150,7 @@ impl Solver {
             && (!features.negation || duplicate_free);
         let ast_engine = ROUTE_TABLE
             .iter()
-            .find(|route| route.gate(&features, artifacts.class(), query))
+            .find(|route| route.gate(&features, artifacts.class()))
             .map_or(EngineKind::Enumeration, |route| route.predicted_engine());
         RoutePrediction {
             vm_eligible,
@@ -199,15 +199,15 @@ const RETRY_TABLE: [Route; 2] = [Route::Positive, Route::Negation];
 
 impl Route {
     /// Does this step's fragment cover the query under this DTD class?
-    fn gate(self, features: &Features, class: &DtdClass, query: &Path) -> bool {
+    fn gate(self, features: &Features, class: &DtdClass) -> bool {
         match self {
-            Route::Downward => downward::supports_features(features),
-            Route::Sibling => sibling::supports(query),
+            Route::Downward => Fragment::downward_no_qualifiers().permits(features),
+            Route::Sibling => Fragment::sibling_no_qualifiers().permits(features),
             Route::DisjunctionFreeUnsat => {
-                class.disjunction_free && djfree::supports_query_features(features)
+                class.disjunction_free && Fragment::downward_positive().permits(features)
             }
-            Route::Positive => positive::supports_features(features),
-            Route::Negation => negation::supports_features(features),
+            Route::Positive => Fragment::downward_positive_with_data().permits(features),
+            Route::Negation => Fragment::downward_negation().permits(features),
             Route::UpwardRewrite => {
                 features.has_upward()
                     && !features.negation
@@ -440,8 +440,7 @@ impl Solver {
     }
 
     /// The first answer of a step in `routes` whose gate holds, else enumeration.
-    /// One feature scan serves every gate (the engines' own `supports(query)`
-    /// wrappers would each rescan the path).
+    /// One feature scan serves every gate.
     fn walk(
         &self,
         routes: &[Route],
@@ -452,22 +451,20 @@ impl Solver {
         let features = Features::of_path(query);
         routes
             .iter()
-            .filter(|route| route.gate(&features, artifacts.class(), query))
+            .filter(|route| route.gate(&features, artifacts.class()))
             .find_map(|route| route.run(self, artifacts, query, meter))
             .unwrap_or_else(|| enumerate(artifacts, query, meter))
     }
 
     /// Decide satisfiability in the absence of a DTD (Proposition 3.1 / Theorem 6.11).
     pub fn decide_without_dtd(&self, query: &Path) -> Decision {
-        if nodtd::supports(query) {
-            if let Ok(result) = nodtd::decide_with_witness(query) {
-                return Decision {
-                    result,
-                    engine: EngineKind::Positive,
-                    complete: true,
-                    exhausted: None,
-                };
-            }
+        if let Ok(result) = nodtd::decide_with_witness(query) {
+            return Decision {
+                result,
+                engine: EngineKind::Positive,
+                complete: true,
+                exhausted: None,
+            };
         }
         // General case: try every universal-DTD instance of Proposition 3.1.
         let mut any_unknown = false;

@@ -204,8 +204,8 @@ fn rewrite_qualifier(q: &Qualifier, chains: &[Vec<String>], originals: &[String]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::positive;
     use crate::sat::Satisfiability;
+    use crate::Solver;
     use xpsat_dtd::parse_dtd;
     use xpsat_xpath::parse_path;
 
@@ -221,8 +221,8 @@ mod tests {
             assert_eq!(direct, expected, "direct algorithm on {query_text}");
             let via_universal = no_dtd_instances(&query).into_iter().any(|(dtd, q)| {
                 matches!(
-                    positive::decide(&dtd, &q),
-                    Ok(Satisfiability::Satisfiable(_))
+                    Solver::default().decide(&dtd, &q).result,
+                    Satisfiability::Satisfiable(_)
                 )
             });
             assert_eq!(
@@ -243,14 +243,14 @@ mod tests {
             ("**/d", true),
         ] {
             let query = parse_path(query_text).unwrap();
-            let direct = positive::decide(&dtd, &query).unwrap();
+            let direct = Solver::default().decide(&dtd, &query).result;
             assert_eq!(
                 direct.is_satisfiable(),
                 Some(expected),
                 "direct on {query_text}"
             );
             let (norm, rewritten) = normalize_instance(&dtd, &query);
-            let normalized = positive::decide(&norm.dtd, &rewritten).unwrap();
+            let normalized = Solver::default().decide(&norm.dtd, &rewritten).result;
             assert_eq!(
                 normalized.is_satisfiable(),
                 Some(expected),

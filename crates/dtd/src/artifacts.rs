@@ -292,7 +292,7 @@ impl CompiledDtd {
 
     /// The structural properties of the pruned DTD (computed eagerly at compile:
     /// every construction path — fresh build or store rehydration — goes through
-    /// [`CompiledDtd::new`], so no store format change is needed).
+    /// `CompiledDtd::new`, so no store format change is needed).
     pub fn properties(&self) -> &DtdProperties {
         &self.props
     }

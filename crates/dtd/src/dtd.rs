@@ -135,14 +135,6 @@ impl Dtd {
         }
         missing
     }
-
-    /// Rename the root type (the type must already be declared).
-    pub fn set_root(&mut self, root: impl Into<String>) -> &mut Self {
-        let root = root.into();
-        self.elements.entry(root.clone()).or_default();
-        self.root = root;
-        self
-    }
 }
 
 impl fmt::Display for Dtd {

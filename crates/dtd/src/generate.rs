@@ -7,7 +7,6 @@
 //! performs those expansions:
 //!
 //! * [`TreeGenerator::minimal_tree`] — a smallest-height conforming tree for a type;
-//! * [`TreeGenerator::attach_minimal`] — graft such a tree below an existing node;
 //! * [`TreeGenerator::random_tree`] — a random conforming document, used by the property
 //!   tests and benchmark workloads (depth- and width-bounded so recursion terminates).
 //!
@@ -134,20 +133,6 @@ impl TreeGenerator {
         let root = doc.root();
         self.expand_minimal_sym(&mut doc, root, sym);
         Some(doc)
-    }
-
-    /// Graft a minimal conforming subtree of type `label` as the last child of `parent`.
-    /// Returns the new child's id, or `None` for non-terminating types.
-    pub fn attach_minimal(
-        &self,
-        doc: &mut Document,
-        parent: NodeId,
-        label: &str,
-    ) -> Option<NodeId> {
-        let sym = self.elem(label)?;
-        let child = doc.add_child(parent, label);
-        self.expand_minimal_sym(doc, child, sym);
-        Some(child)
     }
 
     /// Expand `node` (assumed childless) into a minimal conforming subtree, filling
@@ -348,12 +333,14 @@ fn shortest_suffix(nfa: &SymNfa, state: usize, useful: &BitSet) -> Vec<Sym> {
 
 /// Minimal achievable subtree height per element type of a pruned DTD (a leaf-only
 /// expansion has height 1), indexed by the element symbols `0..num_elements` of
-/// `symbols`.  A type becomes rankable once its content model has a word over ranked
-/// types; its height is then 1 + the least bound `h` such that the model has a word
-/// over types of height at most `h` (0 when it is nullable).  Types are visited in
-/// symbol order and ranked as soon as they are visited, as
-/// [`crate::graph::minimal_heights`] does over `String`-keyed content models; each
-/// visit is one pass over the interned content model.
+/// `symbols`.  The height of a type is 1 + the least bound `h` such that its content
+/// model has a word over types of height at most `h` (0 when it is nullable).
+///
+/// Types are ranked in order of increasing height, as Dijkstra's algorithm ranks
+/// vertices by distance: each round computes every unranked type's bound over the
+/// ranked types and ranks those whose bound is least.  No unranked type can do better
+/// than that least bound, so every height is the true minimum whatever the symbol
+/// order.  Each round is one pass over the unranked types' content models.
 fn minimal_heights(pruned: &Dtd, symbols: &SymbolTable, num_elements: usize) -> Vec<Option<usize>> {
     let contents: Vec<Regex<Sym>> = (0..num_elements)
         .map(|index| {
@@ -368,18 +355,19 @@ fn minimal_heights(pruned: &Dtd, symbols: &SymbolTable, num_elements: usize) -> 
         .collect();
     let mut heights: Vec<Option<usize>> = vec![None; num_elements];
     loop {
-        let mut changed = false;
-        for (index, content) in contents.iter().enumerate() {
-            if heights[index].is_some() {
-                continue;
-            }
-            if let Some(bound) = bottleneck(content, &heights) {
-                heights[index] = Some(1 + bound);
-                changed = true;
-            }
-        }
-        if !changed {
+        let bounds: Vec<(usize, usize)> = contents
+            .iter()
+            .enumerate()
+            .filter(|&(index, _)| heights[index].is_none())
+            .filter_map(|(index, content)| Some((index, bottleneck(content, &heights)?)))
+            .collect();
+        let Some(least) = bounds.iter().map(|&(_, bound)| bound).min() else {
             return heights;
+        };
+        for (index, bound) in bounds {
+            if bound == least {
+                heights[index] = Some(1 + least);
+            }
         }
     }
 }
@@ -436,32 +424,41 @@ mod tests {
 
     #[test]
     fn heights_over_interned_models_agree_with_heights_over_content_models() {
-        // In the fourth DTD, `a` is visited after `y` (height 3) is ranked but before
-        // `c` (height 2) is, so it is ranked 4, not 3: both computations must keep
-        // that dependence on the visiting order.
+        // Hand-computed true minima.  In the fourth DTD `a` reaches a leaf through `c`
+        // (height 2), so it has height 3 although `y` (height 3) is ranked first in
+        // symbol order.
         let chain = chain_against_symbol_order(150);
-        for text in [
-            "r -> a; a -> b; b -> #;",
-            "r -> c; c -> (c, x) | #; x -> #;",
-            "r -> (a, b?)+ | c*; a -> b | c; b -> c; c -> #;",
-            "r -> a; a -> y | c; c -> d; d -> #; w -> #; x -> w; y -> x;",
-            &chain,
+        for (text, expected) in [
+            ("r -> a; a -> b; b -> #;", "a=2 b=1 r=3"),
+            ("r -> c; c -> (c, x) | #; x -> #;", "c=1 r=2 x=1"),
+            (
+                "r -> (a, b?)+ | c*; a -> b | c; b -> c; c -> #;",
+                "a=2 b=2 c=1 r=1",
+            ),
+            (
+                "r -> a; a -> y | c; c -> d; d -> #; w -> #; x -> w; y -> x;",
+                "a=3 c=2 d=1 r=4 w=1 x=2 y=3",
+            ),
         ] {
-            let pruned = prune_nonterminating(&parse_dtd(text).unwrap()).unwrap();
-            let compiled = CompiledDtd::new(pruned.clone());
-            let by_name = crate::graph::minimal_heights(&pruned);
-            let heights: BTreeMap<String, usize> =
-                minimal_heights(&pruned, compiled.symbols(), compiled.num_elements())
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| (compiled.name(Sym::from_index(i)).to_string(), h.unwrap()))
-                    .collect();
-            assert_eq!(heights, by_name, "{text}");
+            assert_eq!(heights_by_name(text), expected, "{text}");
         }
-        let pruned = prune_nonterminating(&parse_dtd(&chain).unwrap()).unwrap();
-        let heights = crate::graph::minimal_heights(&pruned);
-        assert_eq!(heights["b000"], 150);
-        assert_eq!(heights["s"], 151);
+        let heights = heights_by_name(&chain);
+        assert!(heights.starts_with("b000=150 b001=149 "), "{heights}");
+        assert!(heights.ends_with(" b149=1 r=152 s=151"), "{heights}");
+    }
+
+    /// `name=height` for every type of the pruned DTD, sorted by name.
+    fn heights_by_name(text: &str) -> String {
+        let pruned = prune_nonterminating(&parse_dtd(text).unwrap()).unwrap();
+        let compiled = CompiledDtd::new(pruned.clone());
+        let heights: BTreeMap<&str, usize> =
+            minimal_heights(&pruned, compiled.symbols(), compiled.num_elements())
+                .into_iter()
+                .enumerate()
+                .map(|(i, h)| (compiled.name(Sym::from_index(i)), h.unwrap()))
+                .collect();
+        let pairs: Vec<String> = heights.iter().map(|(n, h)| format!("{n}={h}")).collect();
+        pairs.join(" ")
     }
 
     #[test]

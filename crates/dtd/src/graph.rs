@@ -19,7 +19,7 @@
 
 use crate::dtd::Dtd;
 use crate::symbols::{Sym, SymbolTable};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use xpsat_automata::BitSet;
 
 /// The dependency graph of a DTD together with cached analyses.
@@ -130,11 +130,6 @@ impl DtdGraph {
         self.root
     }
 
-    /// Number of vertices.
-    pub fn num_types(&self) -> usize {
-        self.succ.len()
-    }
-
     /// The vertex of a name, if the graph knows it.
     pub fn sym(&self, name: &str) -> Option<Sym> {
         self.symbols.lookup(name)
@@ -240,55 +235,6 @@ pub fn terminating_types(dtd: &Dtd) -> BTreeSet<String> {
         }
         if !changed {
             return terminating;
-        }
-    }
-}
-
-/// Minimal achievable subtree height per terminating element type: a leaf-only expansion
-/// has height 1.  The tree generator runs the same fixpoint over interned content models;
-/// this one, over `String`-keyed ones, is the reference its tests compare against.
-pub fn minimal_heights(dtd: &Dtd) -> BTreeMap<String, usize> {
-    let mut heights: BTreeMap<String, usize> = BTreeMap::new();
-    loop {
-        let mut changed = false;
-        for (name, decl) in dtd.elements() {
-            if heights.contains_key(name) {
-                continue;
-            }
-            // The type becomes rankable once its content model has a word over
-            // already-ranked types; its minimal height is then 1 + the smallest bound h
-            // such that the content model restricted to types of height ≤ h is nonempty
-            // (0 when the content model is nullable).
-            let restricted = decl.content.restrict(&|s| heights.contains_key(s));
-            if !restricted.is_empty_language() {
-                let children_bound = if restricted.nullable() {
-                    0
-                } else {
-                    let mut candidates: Vec<usize> = decl
-                        .content
-                        .symbols()
-                        .iter()
-                        .filter_map(|s| heights.get(s))
-                        .copied()
-                        .collect();
-                    candidates.sort_unstable();
-                    candidates.dedup();
-                    candidates
-                        .into_iter()
-                        .find(|&h| {
-                            !decl
-                                .content
-                                .restrict(&|s| heights.get(s).is_some_and(|&hs| hs <= h))
-                                .is_empty_language()
-                        })
-                        .unwrap_or(0)
-                };
-                heights.insert(name.clone(), 1 + children_bound);
-                changed = true;
-            }
-        }
-        if !changed {
-            return heights;
         }
     }
 }
@@ -402,21 +348,33 @@ mod tests {
         assert!(prune_nonterminating(&dtd).is_none());
     }
 
+    /// The height (a leaf is 1) of the generator's minimal tree for every named type.
+    fn minimal_heights(dtd: &Dtd, names: &[&str]) -> Vec<usize> {
+        let generator = crate::TreeGenerator::new(dtd);
+        names
+            .iter()
+            .map(|name| generator.minimal_tree(name).unwrap().height() + 1)
+            .collect()
+    }
+
     #[test]
     fn minimal_heights_reflect_structure() {
         let dtd = parse_dtd("r -> a; a -> b; b -> #;").unwrap();
-        let heights = minimal_heights(&dtd);
-        assert_eq!(heights["b"], 1);
-        assert_eq!(heights["a"], 2);
-        assert_eq!(heights["r"], 3);
+        assert_eq!(minimal_heights(&dtd, &["b", "a", "r"]), [1, 2, 3]);
+        // `a` reaches a leaf through `c, c` (height 2) in fewer levels than through
+        // the shorter word `y` (height 3), although `y` is ranked first in symbol order.
+        let text = "r -> a; a -> y | (c, c); c -> d; d -> #; w -> #; x -> w; y -> x;";
+        let dtd = parse_dtd(text).unwrap();
+        assert_eq!(
+            minimal_heights(&dtd, &["d", "w", "c", "x", "y", "a", "r"]),
+            [1, 1, 2, 2, 3, 3, 4]
+        );
     }
 
     #[test]
     fn recursive_dtd_with_escape_has_finite_heights() {
         let dtd = parse_dtd("r -> c; c -> (c, x) | #; x -> #;").unwrap();
-        let heights = minimal_heights(&dtd);
-        assert_eq!(heights["c"], 1);
-        assert_eq!(heights["r"], 2);
+        assert_eq!(minimal_heights(&dtd, &["c", "r"]), [1, 2]);
         assert!(DtdGraph::new(&dtd).is_recursive());
         assert_eq!(DtdGraph::new(&dtd).depth_bound(), None);
     }

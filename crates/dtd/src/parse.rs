@@ -202,11 +202,6 @@ pub fn parse_dtd_with_limits(input: &str, limits: &DtdParseLimits) -> Result<Dtd
     Ok(dtd)
 }
 
-/// Parse a content-model expression (spans are relative to `input`).
-pub fn parse_content(input: &str) -> Result<ContentModel, DtdParseError> {
-    parse_content_at(input, 0, &DtdParseLimits::default())
-}
-
 /// Parse a content-model expression whose text starts at byte `base` of the enclosing
 /// document; spans on errors are absolute.
 fn parse_content_at(

@@ -127,11 +127,6 @@ pub fn validate(doc: &Document, dtd: &Dtd) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// Convenience predicate form of [`validate`].
-pub fn conforms(doc: &Document, dtd: &Dtd) -> bool {
-    validate(doc, dtd).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,11 +13,11 @@
 //!   collapses, disjunctions of path qualifiers merge into one union qualifier, and
 //!   trivially-true conjuncts (`[.]`, `[descendant-or-self]`, …) are dropped.
 //!
-//! Two hashes come out of the canonical form: [`canonical_hash`] (FNV-1a of the
-//! canonical text — the cross-tenant cache key) and [`structural_hash`], which erases
-//! labels and combines commutative children order-insensitively, so queries that are
-//! isomorphic up to step labels collide intentionally (the dedup-opportunity signal
-//! reported by `classify`).
+//! Two hashes come out of the canonical form: [`CanonicalQuery::canonical_hash`]
+//! (FNV-1a of the canonical text — the cross-tenant cache key) and
+//! [`structural_hash`], which erases labels and combines commutative children
+//! order-insensitively, so queries that are isomorphic up to step labels collide
+//! intentionally (the dedup-opportunity signal reported by `classify`).
 
 use xpsat_xpath::{CmpOp, Path, Qualifier};
 

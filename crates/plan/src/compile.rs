@@ -10,7 +10,7 @@
 //! own child occurrence *in the same word* as the spine child.
 //!
 //! Beyond the downward fragment, the compiler conditions on the
-//! [`DtdProperties`](xpsat_dtd::DtdProperties) of the target DTD — the
+//! [`xpsat_dtd::DtdProperties`] of the target DTD — the
 //! Ishihara–Suzuki–Hashimoto (arXiv 1308.0769) analysis that keeps these features
 //! PTIME when the *schema* is well-behaved:
 //!

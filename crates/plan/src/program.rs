@@ -1,4 +1,4 @@
-//! The flat decision program: what [`crate::compile`] produces and [`crate::vm`] runs.
+//! The flat decision program: what [`crate::compile()`] produces and [`crate::vm`] runs.
 //!
 //! A program is a straight-line sequence of bitset ops over element types, specialised
 //! at compile time to one `(canonical query, DtdArtifacts)` pair.  Registers are

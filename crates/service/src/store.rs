@@ -229,15 +229,6 @@ impl ArtifactStore {
             }
         }
     }
-
-    /// Remove the program entry of `(fingerprint, canonical_hash)`, if present.
-    pub fn evict_program(&self, fingerprint: u64, canonical_hash: u64) -> std::io::Result<()> {
-        match std::fs::remove_file(self.program_path(fingerprint, canonical_hash)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 // ---- encoding --------------------------------------------------------------------

@@ -204,11 +204,6 @@ impl Path {
         }
     }
 
-    /// Is this one of the primitive (single-step) axes?
-    pub fn is_step(&self) -> bool {
-        !matches!(self, Path::Seq(..) | Path::Union(..) | Path::Filter(..))
-    }
-
     /// Re-associate all `Seq` spines to the right: `(a/b)/c` becomes `a/(b/c)`.
     ///
     /// The satisfiability engines rely on right-nesting so that the "tail" of every

@@ -46,13 +46,6 @@ impl Features {
         f
     }
 
-    /// The features used by a qualifier.
-    pub fn of_qualifier(q: &Qualifier) -> Features {
-        let mut f = Features::default();
-        f.scan_qualifier(q);
-        f
-    }
-
     fn scan_path(&mut self, p: &Path) {
         match p {
             Path::Empty => {}
@@ -191,6 +184,17 @@ impl Fragment {
         }
     }
 
+    /// `X(↓, ↓*, ∪, [], =)` — downward tree patterns with data values (Theorem 4.4, NP).
+    pub fn downward_positive_with_data() -> Fragment {
+        Fragment {
+            name: "X(child, desc, union, qualifiers, data)",
+            allowed: Features {
+                data_value: true,
+                ..Fragment::downward_positive().allowed
+            },
+        }
+    }
+
     /// `X(↓, ↓*, ↑, ↑*, ∪, [], =)` — the largest positive fragment (Theorem 4.4, NP).
     pub fn largest_positive() -> Fragment {
         Fragment {
@@ -243,25 +247,6 @@ impl Fragment {
         }
     }
 
-    /// `X(↓, ↓*, ↑, ↑*, ∪, [], ¬)` — all vertical axes with negation (Theorem 5.3).
-    pub fn vertical_negation() -> Fragment {
-        Fragment {
-            name: "X(child, desc, parent, anc, union, qualifiers, neg)",
-            allowed: Features {
-                label: true,
-                wildcard: true,
-                descendant: true,
-                parent: true,
-                ancestor: true,
-                union: true,
-                qualifier: true,
-                label_test: true,
-                negation: true,
-                ..Features::default()
-            },
-        }
-    }
-
     /// `X(↓, ↑, ↓*, ↑*, ∪, [], =, ¬)` — the full class (Theorem 5.4, undecidable).
     pub fn full() -> Fragment {
         Fragment {
@@ -290,27 +275,6 @@ impl Fragment {
                 label: true,
                 sibling: true,
                 ..Features::default()
-            },
-        }
-    }
-
-    /// The full class including sibling axes (Section 7).
-    pub fn full_with_siblings() -> Fragment {
-        Fragment {
-            name: "X(everything)",
-            allowed: Features {
-                label: true,
-                wildcard: true,
-                descendant: true,
-                parent: true,
-                ancestor: true,
-                sibling: true,
-                sibling_star: true,
-                union: true,
-                qualifier: true,
-                label_test: true,
-                data_value: true,
-                negation: true,
             },
         }
     }

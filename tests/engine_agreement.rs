@@ -73,9 +73,12 @@ fn random_negation_query(rng: &mut StdRng, labels: &[String], depth: usize) -> P
     }
 }
 
-fn oracle(dtd: &Dtd, query: &Path) -> Option<bool> {
+fn oracle(artifacts: &DtdArtifacts, query: &Path) -> Option<bool> {
     let limits = EnumerationLimits::default();
-    enumeration::decide(dtd, query, &limits).is_satisfiable()
+    let meter = Budget::unlimited().meter();
+    enumeration::decide_with_budget(artifacts, query, &limits, &meter)
+        .expect("an unlimited meter cannot exhaust")
+        .is_satisfiable()
 }
 
 #[test]
@@ -83,6 +86,7 @@ fn solver_agrees_with_oracle_on_random_positive_queries() {
     let mut rng = StdRng::seed_from_u64(2024);
     let solver = Solver::default();
     for dtd in oracle_dtds() {
+        let artifacts = DtdArtifacts::build(&dtd);
         let labels: Vec<String> = dtd
             .element_names()
             .into_iter()
@@ -90,7 +94,7 @@ fn solver_agrees_with_oracle_on_random_positive_queries() {
             .collect();
         for _ in 0..40 {
             let query = random_positive_query(&mut rng, &labels, 3);
-            let expected = oracle(&dtd, &query).expect("oracle is exhaustive on these DTDs");
+            let expected = oracle(&artifacts, &query).expect("oracle is exhaustive on these DTDs");
             let decision = solver.decide(&dtd, &query);
             assert_eq!(
                 decision.result.is_satisfiable(),
@@ -109,6 +113,7 @@ fn solver_agrees_with_oracle_on_random_negation_queries() {
     let mut rng = StdRng::seed_from_u64(4096);
     let solver = Solver::default();
     for dtd in oracle_dtds() {
+        let artifacts = DtdArtifacts::build(&dtd);
         let labels: Vec<String> = dtd
             .element_names()
             .into_iter()
@@ -116,7 +121,7 @@ fn solver_agrees_with_oracle_on_random_negation_queries() {
             .collect();
         for _ in 0..30 {
             let query = random_negation_query(&mut rng, &labels, 2);
-            let expected = oracle(&dtd, &query).expect("oracle is exhaustive on these DTDs");
+            let expected = oracle(&artifacts, &query).expect("oracle is exhaustive on these DTDs");
             let decision = solver.decide(&dtd, &query);
             assert_eq!(
                 decision.result.is_satisfiable(),
@@ -134,12 +139,13 @@ fn solver_agrees_with_oracle_on_random_negation_queries() {
 fn sibling_engine_agrees_with_oracle() {
     let solver = Solver::default();
     let dtd = parse_dtd("r -> a, (b | c), d?; a -> #; b -> #; c -> #; d -> #;").unwrap();
+    let artifacts = DtdArtifacts::build(&dtd);
     let queries = [
         "a/>", "a/>/>", "a/>/>/>", "b/>", "c/<", "d/</<", "a/<", "b/>/>", "c/>/>",
     ];
     for text in queries {
         let query = parse_path(text).unwrap();
-        let expected = oracle(&dtd, &query).expect("exhaustive");
+        let expected = oracle(&artifacts, &query).expect("exhaustive");
         let decision = solver.decide(&dtd, &query);
         assert_eq!(decision.engine, EngineKind::Sibling, "query {text}");
         assert_eq!(

@@ -161,4 +161,25 @@ fn fragment_lattice() {
     assert!(!Fragment::downward_negation().permits_path(&data));
     assert!(Fragment::largest_positive().permits_path(&data));
     assert!(Fragment::full().permits_path(&data));
+
+    // The fragments the engines gate on: one query inside and one outside each.
+    let gates = [
+        (Fragment::downward_no_qualifiers(), "**/a | b/*", "a[b]"),
+        (Fragment::sibling_no_qualifiers(), "a/>/</b", "a/>/*"),
+        (
+            Fragment::downward_positive_with_data(),
+            "a[@id = \"1\"]/**",
+            "a/..",
+        ),
+    ];
+    for (fragment, inside, outside) in gates {
+        assert!(
+            fragment.permits_path(&parse_path(inside).unwrap()),
+            "{fragment}: {inside}"
+        );
+        assert!(
+            !fragment.permits_path(&parse_path(outside).unwrap()),
+            "{fragment}: {outside}"
+        );
+    }
 }
