@@ -29,7 +29,9 @@
 //! * a **realistic-DTD bucket** — XHTML and DocBook: `build_ns` times
 //!   `DtdArtifacts::build` alone and `register_ns` the build plus `warm()` (automata,
 //!   useful-state masks, tree generator), which is what a registration pays for its
-//!   artifacts; then warm AST and VM decides over a fixed query mix.
+//!   artifacts; `decode_ns` is `Json::parse` of the DTD's `register_dtd` request
+//!   line, what every registration pays before it is admitted; then warm AST and VM
+//!   decides over a fixed query mix.
 //!
 //! The medians (nanoseconds per query) are written as JSON to `BENCH_xpsat.json` at the
 //! repo root so successive PRs have a trajectory to compare against:
@@ -50,7 +52,7 @@ use xpsat_bench::{chain_query, random_positive_query, rng};
 use xpsat_core::{Budget, Solver};
 use xpsat_dtd::{parse_dtd, Dtd, DtdArtifacts};
 use xpsat_plan::{compile, vm, CanonicalQuery, CompileLimits, DecisionProgram, Scratch};
-use xpsat_service::{engine_slug, CanonicalCache, Workspace};
+use xpsat_service::{engine_slug, CanonicalCache, Json, Workspace};
 use xpsat_xpath::{parse_path, Path};
 
 struct EngineCorpus {
@@ -509,6 +511,20 @@ fn run() {
                 })
                 .collect(),
         );
+        // The request line a client sends to register this DTD, decoded the way
+        // every front end decodes it.
+        let register_line = Json::obj(vec![
+            ("op", Json::Str("register_dtd".into())),
+            ("dtd", Json::Str(dtd.to_string())),
+            ("tenant", Json::Str("perf".into())),
+        ])
+        .to_string();
+        const DECODES: usize = 100;
+        let decode_ns = time_per_query(iters, DECODES, || {
+            for _ in 0..DECODES {
+                std::hint::black_box(Json::parse(std::hint::black_box(&register_line)).unwrap());
+            }
+        });
         let artifacts = DtdArtifacts::build(&dtd);
         // Split the mix by what the budgeted AST dispatch can finish: timing a
         // budget-exhausted decision only measures the budget, so `warm_ns` covers
@@ -540,11 +556,12 @@ fn run() {
             }
         });
         println!(
-            "realistic-dtd {:<8} ({} elements)  build {:>12} ns   register {:>12} ns   warm {:>12} ns/q ({}/{} complete in budget)   vm-coverage {}/{} ({:.2})   vm-warm {:>10} ns/q",
+            "realistic-dtd {:<8} ({} elements)  build {:>12} ns   register {:>12} ns   decode {:>10} ns   warm {:>12} ns/q ({}/{} complete in budget)   vm-coverage {}/{} ({:.2})   vm-warm {:>10} ns/q",
             slug,
             dtd.element_names().len(),
             json_f64(build_ns),
             json_f64(register_ns),
+            json_f64(decode_ns),
             json_f64(warm_ns),
             completing.len(),
             queries.len(),
@@ -554,13 +571,14 @@ fn run() {
             json_f64(vm_warm_ns)
         );
         realistic_sections.push(format!(
-            "    \"{}\": {{\"elements\": {}, \"queries\": {}, \"ast_complete\": {}, \"build_ns\": {}, \"register_ns\": {}, \"warm_ns\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"vm_warm_ns\": {}}}",
+            "    \"{}\": {{\"elements\": {}, \"queries\": {}, \"ast_complete\": {}, \"build_ns\": {}, \"register_ns\": {}, \"decode_ns\": {}, \"warm_ns\": {}, \"compiled\": {}, \"vm_coverage\": {:.2}, \"vm_warm_ns\": {}}}",
             slug,
             dtd.element_names().len(),
             queries.len(),
             completing.len(),
             json_f64(build_ns),
             json_f64(register_ns),
+            json_f64(decode_ns),
             json_f64(warm_ns),
             programs.len(),
             vm_coverage,

@@ -398,18 +398,35 @@ impl ContentParser {
         })
     }
 
+    /// An atom and its postfix operators.  Each operator folds into the one the
+    /// model already carries, and every fold is exact: `x++` is `x+`, `x??` is
+    /// `x?`, and any other pair of `*`, `+` and `?` is `x*`.  So no sub-expression
+    /// carries two postfix operators, whether they are stacked (`x+*?`) or split by
+    /// parentheses (`(x+)*`), and the model nests only as deep as its
+    /// parentheses, which `max_depth` caps.
     fn repetition(&mut self) -> Result<ContentModel, DtdParseError> {
         let mut base = self.atom()?;
         loop {
-            if self.eat(&Tok::Star) {
-                base = Regex::Star(Box::new(base));
+            base = if self.eat(&Tok::Star) {
+                match base {
+                    Regex::Star(x) | Regex::Plus(x) | Regex::Opt(x) => Regex::Star(x),
+                    x => Regex::Star(Box::new(x)),
+                }
             } else if self.eat(&Tok::Plus) {
-                base = Regex::Plus(Box::new(base));
+                match base {
+                    Regex::Plus(x) => Regex::Plus(x),
+                    Regex::Star(x) | Regex::Opt(x) => Regex::Star(x),
+                    x => Regex::Plus(Box::new(x)),
+                }
             } else if self.eat(&Tok::Question) {
-                base = Regex::Opt(Box::new(base));
+                match base {
+                    Regex::Opt(x) => Regex::Opt(x),
+                    Regex::Star(x) | Regex::Plus(x) => Regex::Star(x),
+                    x => Regex::Opt(Box::new(x)),
+                }
             } else {
                 break;
-            }
+            };
         }
         Ok(base)
     }
@@ -541,6 +558,38 @@ mod tests {
         let err = parse_dtd_with_limits("r -> a, b, c;", &limits).unwrap_err();
         assert!(err.message.contains("element-type limit"), "{err}");
         assert!(parse_dtd_with_limits("r -> a, b;", &limits).is_ok());
+    }
+
+    #[test]
+    fn stacked_postfix_operators_fold_exactly() {
+        let model = |text: &str| {
+            parse_dtd(&format!("r -> {text}; a -> #; b -> #;"))
+                .unwrap()
+                .content("r")
+                .unwrap()
+                .clone()
+        };
+        let a = || Box::new(Regex::Sym("a".to_string()));
+        assert_eq!(model("a++"), Regex::Plus(a()));
+        assert_eq!(model("a??"), Regex::Opt(a()));
+        assert_eq!(model("(a?)?"), Regex::Opt(a()));
+        for stacked in [
+            "a**", "a+?", "a?+", "a*+", "a+*", "a?*", "a*?", "a+++?", "((a+)*)+",
+        ] {
+            assert_eq!(model(stacked), Regex::Star(a()), "{stacked}");
+        }
+        let both = Regex::Alt(vec![
+            Regex::Sym("a".to_string()),
+            Regex::Sym("b".to_string()),
+        ]);
+        assert_eq!(
+            model(&format!("(a | b){}", "+".repeat(500_000))),
+            Regex::Plus(Box::new(both))
+        );
+        // What folding leaves is as deep as the parentheses, which the limit caps.
+        let deep = format!("r -> {}a{};", "(".repeat(100), ")*".repeat(100));
+        let err = parse_dtd(&deep).unwrap_err();
+        assert!(err.message.contains("depth limit"), "{err}");
     }
 
     #[test]

@@ -706,3 +706,43 @@ fn long_step_chains_do_not_overflow_a_connection_thread() {
     assert_eq!(field(&health, "ok").as_bool(), Some(true));
     handle.shutdown();
 }
+
+#[test]
+fn hostile_request_lines_answer_structured_and_the_server_keeps_serving() {
+    let (handle, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr);
+
+    // A line just under the 1 MiB cap, almost all of it one string, decodes in
+    // time linear in its length.
+    let padded = format!(r#"{{"op":"health","pad":"{}"}}"#, "x".repeat(1000 * 1024));
+    let start = Instant::now();
+    let health = client.round_trip(&padded);
+    assert_eq!(field(&health, "ok").as_bool(), Some(true));
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        start.elapsed()
+    );
+
+    // A million brackets stop at the nesting cap, on the connection thread.
+    let brackets = "[".repeat((1 << 20) - 1);
+    let answer = client.round_trip(&brackets);
+    let error = field(&answer, "error");
+    assert_eq!(field(error, "kind").as_str(), Some("malformed_request"));
+    let message = field(error, "message").as_str().unwrap();
+    assert!(
+        message.contains(&format!("at byte {}", xpsat_service::json::MAX_DEPTH)),
+        "{message}"
+    );
+
+    // Half a million stacked `+` fold to one while the DTD parses.
+    let stacked = format!("r -> (a | b){}; a -> #; b -> #;", "+".repeat(500_000));
+    let reg = client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{stacked}"}}"#));
+    assert_eq!(field(&reg, "ok").as_bool(), Some(true), "{reg}");
+    let check = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"b"}"#);
+    assert_eq!(field(&check, "result").as_str(), Some("satisfiable"));
+
+    let health = client.round_trip(r#"{"op":"health"}"#);
+    assert_eq!(field(&health, "ok").as_bool(), Some(true));
+    handle.shutdown();
+}

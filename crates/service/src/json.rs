@@ -5,8 +5,16 @@
 //! (insertion-ordered), arrays, strings with full escape handling, integer-valued
 //! numbers, booleans and `null`.  Fractional and exponent number syntax is accepted on
 //! input and parsed through `f64`.
+//!
+//! Parsing is linear in the input and its recursion is bounded: arrays and objects
+//! nest at most [`MAX_DEPTH`] levels, so a hostile line cannot exhaust the stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  Protocol
+/// requests and responses nest a few levels; the cap only bounds the parser's
+/// recursion on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +81,10 @@ impl Json {
     /// Parse one JSON document, requiring it to span the whole input.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -188,8 +198,11 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -230,8 +243,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -240,6 +256,16 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -347,12 +373,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so boundaries align).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one piece.
+                    // Both are ASCII, so the run ends on a character boundary of the
+                    // `&str` input and needs no re-validation.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |len| self.pos + len);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -619,6 +648,136 @@ mod tests {
         for _ in 0..2000 {
             assert_matches_oracle(&random_value(&mut rng, 4));
         }
+    }
+
+    /// Write `s` as a JSON string literal the way an arbitrary client might:
+    /// each character is sent raw, as its short escape or as `\uXXXX` (a surrogate
+    /// pair above the BMP), chosen at random.
+    fn client_encoded(rng: &mut Rng, s: &str) -> String {
+        use std::fmt::Write;
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            let must_escape = c == '"' || c == '\\' || (c as u32) < 0x20;
+            match rng.below(3) {
+                0 if !must_escape => out.push(c),
+                1 if short.is_some() => out.push_str(short.unwrap()),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        // Mixed-case hex digits: both are valid.
+                        if rng.below(2) == 0 {
+                            write!(out, "\\u{unit:04x}").unwrap();
+                        } else {
+                            write!(out, "\\u{unit:04X}").unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A string made of long unescaped runs of multibyte text broken by single
+    /// characters that need an escape, with each escape form.
+    fn long_run_string(rng: &mut Rng) -> String {
+        const RUN: &[char] = &['a', 'é', '€', '😀', '/', ' ', '\u{7f}'];
+        const BREAK: &[char] = &['"', '\\', '\n', '\u{8}', '\u{c}', '\u{1}', '\u{1f}'];
+        let mut s = String::new();
+        for _ in 0..rng.below(4) {
+            let c = RUN[rng.below(RUN.len())];
+            s.extend(std::iter::repeat_n(c, rng.below(500)));
+            s.push(BREAK[rng.below(BREAK.len())]);
+        }
+        s
+    }
+
+    #[test]
+    fn strings_round_trip_through_every_escape_form() {
+        let mut rng = Rng(0x1308_0769);
+        for i in 0..2400 {
+            let s = match i % 3 {
+                0 => random_string(&mut rng),
+                1 => long_run_string(&mut rng),
+                _ => random_string(&mut rng) + &long_run_string(&mut rng),
+            };
+            let ours = Json::Str(s.clone()).to_string();
+            assert_eq!(Json::parse(&ours), Ok(Json::Str(s.clone())), "{ours:?}");
+            let theirs = client_encoded(&mut rng, &s);
+            assert_eq!(Json::parse(&theirs), Ok(Json::Str(s.clone())), "{theirs:?}");
+            let line = format!(r#"{{"op":"register_dtd","dtd":{theirs},"tenant":{ours}}}"#);
+            let parsed = Json::parse(&line).unwrap();
+            assert_eq!(parsed.get("dtd").and_then(Json::as_str), Some(s.as_str()));
+            assert_eq!(
+                parsed.get("tenant").and_then(Json::as_str),
+                Some(s.as_str())
+            );
+        }
+    }
+
+    #[test]
+    fn string_error_offsets_are_pinned() {
+        let cases = [
+            (r#""abc"#, 4, "unterminated string"),
+            (r#"{"dtd":"r -> a*; é"#, 19, "unterminated string"),
+            (r#""ab\x""#, 4, "invalid escape"),
+            (r#"{"q":"é\q"}"#, 9, "invalid escape"),
+            (r#""\u12"#, 3, "truncated \\u escape"),
+            (r#"{"q":"ab\u00"}"#, 10, "invalid \\u escape"),
+            (r#""\ud83dA""#, 7, "invalid \\u escape"),
+            (r#""\ud83d\u0041""#, 13, "invalid low surrogate"),
+        ];
+        for (text, offset, message) in cases {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_decodes_in_linear_time() {
+        let line = format!(r#"{{"op":"health","pad":"{}"}}"#, "é".repeat(1 << 19));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            parsed.get("pad").and_then(Json::as_str).map(str::len),
+            Some(1 << 20)
+        );
+        assert!(elapsed < std::time::Duration::from_secs(2), "{elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nest deeper"), "{err}");
+        let objects = format!(
+            r#"{}1{}"#,
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // A hostile line of a million brackets answers the same error, without
+        // recursing a million frames deep.
+        let hostile = "[".repeat(1 << 20);
+        assert_eq!(Json::parse(&hostile).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

@@ -195,6 +195,94 @@ fn fuzzed_protocol_inputs_never_panic_and_always_answer_structured() {
     }
 }
 
+/// Cut `line` at a random character boundary half of the time.
+fn maybe_truncate(rng: &mut Rng, mut line: String) -> String {
+    if rng.below(2) == 0 {
+        let mut cut = rng.below(line.len() + 1);
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        line.truncate(cut);
+    }
+    line
+}
+
+/// Whole request lines mutated at the JSON level: a DTD or query string extended
+/// by a long run of one unit (multibyte text, an escape, a postfix operator), and
+/// arrays or objects nested to either side of the parser's depth cap or far past
+/// it.  Every line answers structured, and nesting is refused exactly past the cap.
+#[test]
+fn fuzzed_request_lines_with_long_strings_and_deep_nesting_answer_structured() {
+    const UNITS: &[&str] = &[
+        "a",
+        " ",
+        "+",
+        "*",
+        "?",
+        "(",
+        "é",
+        "😀",
+        "\\n",
+        "\\\"",
+        "\\\\",
+        "\\u00e9",
+        "\\ud83d\\ude00",
+    ];
+    let max = xpsat_service::json::MAX_DEPTH;
+    let mut rng = Rng(0xdeca_f00d);
+    let server = ProtocolServer::new(1);
+    for _ in 0..iterations() / 2 {
+        if rng.below(2) == 0 {
+            let (op, field, seeds) = if rng.below(2) == 0 {
+                ("register_dtd", "dtd", DTD_SEEDS)
+            } else {
+                ("check", "query", QUERY_SEEDS)
+            };
+            let head = Json::Str(mutate(&mut rng, seeds)).to_string();
+            let run = rng.pick(UNITS).repeat(rng.below(20_000));
+            let line = format!(
+                r#"{{"op":"{op}","dtd_id":0,"max_steps":200000,"{field}":{}{run}"}}"#,
+                &head[..head.len() - 1]
+            );
+            let line = maybe_truncate(&mut rng, line);
+            let input = format!("{op} line of {} bytes", line.len());
+            assert_structured(&server.handle_line(&line), &input);
+        } else {
+            let depth = match rng.below(3) {
+                0 => max - 1 - rng.below(3),
+                1 => max + rng.below(3),
+                _ => rng.below(200_000),
+            };
+            let (open, close) = if rng.below(2) == 0 {
+                ("[", "]")
+            } else {
+                (r#"{"k":"#, "}")
+            };
+            // The request object is one level; `pad` nests `depth` more.
+            let line = format!(
+                r#"{{"op":"stats","pad":{}1{}}}"#,
+                open.repeat(depth),
+                close.repeat(depth)
+            );
+            let response = server.handle_line(&line);
+            assert_structured(&response, &format!("pad nested {depth} deep"));
+            let response = Json::parse(&response).unwrap();
+            let ok = response.get("ok").and_then(Json::as_bool);
+            assert_eq!(ok, Some(depth < max), "pad nested {depth} deep");
+            if depth >= max {
+                let message = response
+                    .get("error")
+                    .and_then(|e| e.get("message"))
+                    .and_then(Json::as_str)
+                    .unwrap();
+                assert!(message.contains("nest deeper"), "{message}");
+            }
+            let line = maybe_truncate(&mut rng, line);
+            assert_structured(&server.handle_line(&line), "truncated nesting");
+        }
+    }
+}
+
 #[test]
 fn fuzzed_parsers_fail_with_in_bounds_spans() {
     let iters = iterations();
