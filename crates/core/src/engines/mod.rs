@@ -14,7 +14,8 @@
 //! | [`enumeration`] | the full class incl. `↑`, data values, siblings | none | bounded / nonrecursive | Proposition 6.4, Theorem 5.5 | exponential |
 //!
 //! Upward axes are handled by the solver façade through the rewritings of
-//! Proposition 6.1 and Theorems 6.6(3)/6.8(2) whenever those apply, and by
+//! Proposition 6.1 and Theorems 6.6(3)/6.8(2) whenever those apply (Theorem 6.8(2)'s
+//! input class is [`Fragment::updown_no_qualifiers`], `X(↓, ↑)`), and by
 //! [`enumeration`] otherwise.
 
 #[cfg(doc)]

@@ -174,7 +174,7 @@ enum Route {
     Positive,
     /// Theorems 5.2/5.3 fixpoint for `X(↓, ↓*, ∪, [], ¬)`.
     Negation,
-    /// Theorem 6.8(2): upward axes rewritten into a downward query.
+    /// Theorem 6.8(2): `X(↓, ↑)` rewritten into a downward query.
     UpwardRewrite,
     /// Proposition 6.1 on nonrecursive DTDs, then one [`RETRY_TABLE`] walk; this
     /// turns e.g. the EXPTIME fragment into the PSPACE one.
@@ -209,13 +209,7 @@ impl Route {
             Route::Positive => Fragment::downward_positive_with_data().permits(features),
             Route::Negation => Fragment::downward_negation().permits(features),
             Route::UpwardRewrite => {
-                features.has_upward()
-                    && !features.negation
-                    && !features.qualifier
-                    && !features.union
-                    && !features.has_recursion()
-                    && !features.has_sibling()
-                    && !features.data_value
+                features.has_upward() && Fragment::updown_no_qualifiers().permits(features)
             }
             Route::RecursionElimination => features.has_recursion() && !class.recursive,
         }
@@ -324,12 +318,12 @@ const NEGATION_MEMO_CAP: usize = 4096;
 /// indices of a query — work that depends only on `(DTD, query)` and dominates repeated
 /// negation-heavy calls; the memo replays the owned [`PreparedQuery`] instead.  The
 /// service decides each class once per DTD text through its decision store, which the
-/// server's tenants share and which outlives evictions, so the memo serves only
-/// repeated direct [`Solver`] calls, such as [`Solver::decide_budgeted`] loops (and the
-/// service's retries of budget-exhausted decisions, which the store never keeps).
-/// Keying by [`DtdArtifacts::uid`] makes entries die with their compile: a
-/// re-registered or rematerialised DTD gets a fresh uid, so stale symbol resolutions
-/// can never be replayed against the wrong compile.
+/// server's tenants share, so the memo serves only repeated direct [`Solver`] calls,
+/// such as [`Solver::decide_budgeted`] loops (and the service's retries of
+/// budget-exhausted decisions, which the store never keeps).  Keying by
+/// [`DtdArtifacts::uid`] makes entries die with their compile: a DTD built again (in
+/// another decision store or after a restart) gets a fresh uid, so stale symbol
+/// resolutions can never be replayed against the wrong compile.
 #[derive(Debug, Default)]
 struct NegationMemo {
     prepared: Mutex<HashMap<(u64, String), Arc<PreparedQuery>>>,

@@ -245,6 +245,21 @@ fn program_is_rejected_against_other_artifacts() {
 }
 
 #[test]
+fn program_is_rejected_against_another_build_of_the_same_text() {
+    // Two builds of one DTD text number their symbols alike, but the VM trusts only
+    // the build a program was stamped for.
+    let dtd = "r -> a*; a -> b?; b -> #;";
+    let (first, second) = (artifacts(dtd), artifacts(dtd));
+    assert_ne!(first.uid(), second.uid());
+    let canon = canonicalize(&parse_path("a[b]").unwrap());
+    let program = compile(&first, &canon, &CompileLimits::default()).unwrap();
+    let mut scratch = vm::Scratch::new();
+    let budget = Budget::unlimited();
+    assert!(vm::decide(&program, &first, &mut scratch, &budget).is_some());
+    assert!(vm::decide(&program, &second, &mut scratch, &budget).is_none());
+}
+
+#[test]
 fn canonical_spellings_share_a_program_shape() {
     let a = artifacts("r -> a; a -> b, c; b -> #; c -> #;");
     let limits = CompileLimits::default();

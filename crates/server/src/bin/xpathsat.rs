@@ -42,7 +42,7 @@ USAGE:
                    [--tenant-rate QPS] [--tenant-burst N] [--tenant-inflight N]
                    [--tenant-weight NAME=W]... [--shed-target-ms MS]
                    [--drain-deadline-ms MS] [--watchdog-ms MS]
-                   [--cache-dir DIR] [--max-resident N] [--max-line-bytes N]
+                   [--cache-dir DIR] [--max-line-bytes N]
                    [--threads T]
     xpathsat connect (--addr A | --unix PATH) [--input <file>]
     xpathsat stats (--addr A | --unix PATH) [--tenant NAME]
@@ -95,7 +95,6 @@ OPTIONS:
     --max-steps N      serve: default per-decision solver step budget; a decision
                        that spends it answers resource_exhausted (default: none)
     --cache-dir DIR    serve: persistent artifact cache root (default: none)
-    --max-resident N   serve: per-tenant resident compiled-DTD bound (default: none)
     --max-line-bytes N serve: request line length cap (default 1048576)
     --tenant NAME      stats: tenant to report workspace counters for
 ";
@@ -174,7 +173,6 @@ struct Options {
     deadline_ms: Option<u64>,
     max_steps: Option<u64>,
     cache_dir: Option<String>,
-    max_resident: Option<usize>,
     max_line_bytes: usize,
     tenant: Option<String>,
     positional: Vec<String>,
@@ -207,7 +205,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         deadline_ms: None,
         max_steps: None,
         cache_dir: None,
-        max_resident: None,
         max_line_bytes: xpsat_service::DEFAULT_MAX_LINE_BYTES,
         tenant: None,
         positional: Vec::new(),
@@ -289,9 +286,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 options.max_steps = Some(numeric("--max-steps", value_of("--max-steps")?)?)
             }
             "--cache-dir" => options.cache_dir = Some(value_of("--cache-dir")?),
-            "--max-resident" => {
-                options.max_resident = Some(numeric("--max-resident", value_of("--max-resident")?)?)
-            }
             "--max-line-bytes" => {
                 options.max_line_bytes = numeric("--max-line-bytes", value_of("--max-line-bytes")?)?
             }
@@ -644,7 +638,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         default_max_steps: options.max_steps,
         max_line_bytes: options.max_line_bytes,
         cache_dir: options.cache_dir.as_ref().map(std::path::PathBuf::from),
-        max_resident_dtds: options.max_resident,
         default_threads: options.threads,
         ..ServerConfig::default()
     };

@@ -13,9 +13,10 @@
 //!   protocol feature, not a TCP accident.
 //! * Tenants — each request may carry a `"tenant"` field; every tenant gets its own
 //!   [`xpsat_service::Workspace`] (own DTD ids, interner, decision cache), so two
-//!   clients sharing a server cannot observe each other's registrations.  Resident
-//!   compiled artifacts are bounded per tenant (LRU eviction + transparent
-//!   rematerialisation).
+//!   clients sharing a server cannot observe each other's registrations.  What
+//!   depends only on content is shared: each DTD text is built once for all tenants,
+//!   and each structural class decided and compiled once (the
+//!   [`xpsat_service::CanonicalCache`]).
 //! * Fairness — requests are dispatched by a tenant-fair scheduler
 //!   ([`fair::FairScheduler`]): deficit round-robin over per-tenant sub-queues
 //!   (weighted via `tenant_weights`), per-tenant token-bucket rate limits and
@@ -29,8 +30,9 @@
 //! * Persistence — with a cache directory configured, every tenant workspace is
 //!   backed by an [`xpsat_service::ArtifactStore`]: a restarted (or sibling) server
 //!   loads compiled artifacts from disk instead of re-running classification,
-//!   normalisation and automata construction, and `register_dtd` reports
-//!   `"cached":true`.
+//!   normalisation and automata construction.  `register_dtd` reports
+//!   `"cached":true` whenever the registration built nothing: the artifacts came
+//!   from the disk or from an earlier registration of the text by any tenant.
 //! * Deadlines — a server-wide default deadline (and per-request `"deadline_ms"`)
 //!   bounds tail latency; expired requests answer a `deadline_exceeded` error while
 //!   still publishing partial progress to the decision cache.
@@ -136,8 +138,6 @@ pub struct ServerConfig {
     pub debug_ops: bool,
     /// Root of the persistent artifact cache; `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
-    /// Per-tenant bound on resident compiled DTD artifacts; `None` = unbounded.
-    pub max_resident_dtds: Option<usize>,
     /// Default `threads` for `batch` requests that do not specify their own
     /// (`0` = number of CPUs).
     pub default_threads: usize,
@@ -167,7 +167,6 @@ impl Default for ServerConfig {
             stalled_read_timeout_ms: Some(30_000),
             debug_ops: false,
             cache_dir: None,
-            max_resident_dtds: None,
             default_threads: 0,
         }
     }

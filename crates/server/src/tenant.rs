@@ -7,13 +7,16 @@
 //! because they are content-addressed and therefore leak nothing tenant-specific:
 //!
 //! * the persistent [`ArtifactStore`], keyed by the hash of a DTD's canonical
-//!   text — a cross-tenant hit means "someone compiled this exact DTD before"
-//!   and saves the full compilation;
-//! * the in-memory [`CanonicalCache`], the decision store holding each class's
-//!   decision and compiled program, keyed by the exact canonical DTD text and the
-//!   canonical query — a cross-tenant hit means "someone already decided (or
-//!   compiled) this exact instance" (up to qualifier reordering and the other
-//!   structural rewrites) and saves the solve or the compile entirely.
+//!   text — a hit means "some process compiled this exact DTD before" and saves
+//!   the full compilation after a restart;
+//! * the in-memory [`CanonicalCache`], the decision store holding each DTD text's
+//!   artifacts and each class's decision and compiled program, keyed by the exact
+//!   canonical DTD text and the canonical query.  The first registration of a text
+//!   by any tenant builds it (or loads it from the artifact store), and every other
+//!   tenant's registration adopts that build; a cross-tenant decision hit means
+//!   "someone already decided (or compiled) this exact instance" (up to qualifier
+//!   reordering and the other structural rewrites) and saves the solve or the
+//!   compile entirely.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -99,9 +102,6 @@ impl TenantMap {
         let mut workspace = Workspace::default().with_canonical_cache(Arc::clone(&self.canonical));
         if let Some(store) = &self.store {
             workspace = workspace.with_store(store.clone());
-        }
-        if let Some(bound) = self.config.max_resident_dtds {
-            workspace = workspace.with_resident_bound(bound);
         }
         let mut proto = ProtocolServer::with_workspace(workspace, self.config.default_threads);
         proto.set_default_deadline_ms(self.config.default_deadline_ms);

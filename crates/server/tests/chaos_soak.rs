@@ -18,7 +18,8 @@
 //!   * a drained server restarted over the same artifact store serves compiled
 //!     DTDs from disk;
 //!   * a stream of DTD registrations never holds back a tenant's decided checks,
-//!     and every DTD text keeps one id.
+//!     and every DTD text keeps one id;
+//!   * tenants racing to register one DTD text share one build of it.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -531,6 +532,86 @@ fn registration_stream_does_not_hold_back_decided_checks() {
             checks,
             "a decided check went to the decide pool (round {round})"
         );
+        handle.shutdown();
+    }
+}
+
+/// Several tenants register one DTD text at the same instant, each over its own
+/// connection: the text is built once for all of them, every answer is
+/// structured, and every tenant then decides against that one build correctly.
+#[test]
+fn racing_cross_tenant_registrations_build_the_text_once() {
+    const TENANTS: usize = 6;
+    for round in 0..rounds() {
+        let (handle, addr) = start(ServerConfig {
+            decide_workers: 2,
+            ..ServerConfig::default()
+        });
+        let k = Rng(0x0c70_55ed + round * 29).below(1000);
+        let text = format!("r -> a{k}*; a{k} -> b?; b -> #;");
+        let released = std::sync::Barrier::new(TENANTS);
+        let answers: Vec<(bool, bool)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..TENANTS)
+                .map(|t| {
+                    let (addr, text, released) = (&addr, &text, &released);
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr);
+                        let line =
+                            format!(r#"{{"op":"register_dtd","dtd":"{text}","tenant":"race{t}"}}"#);
+                        released.wait();
+                        // A refusal must be structured; the tenant then retries.
+                        loop {
+                            match client.request(&line) {
+                                Outcome::Ok(reg) => {
+                                    assert_eq!(reg.get("dtd_id").and_then(Json::as_u64), Some(0));
+                                    let flag = |key| reg.get(key).and_then(Json::as_bool);
+                                    return (
+                                        flag("reused") == Some(true),
+                                        flag("cached") == Some(true),
+                                    );
+                                }
+                                Outcome::Err(err) => {
+                                    assert_ne!(error_kind(&err), "unstructured", "{err}");
+                                    std::thread::sleep(Duration::from_millis(5));
+                                }
+                                Outcome::Closed => panic!("connection closed (round {round})"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("tenant thread"))
+                .collect()
+        });
+        assert!(answers.iter().all(|&(reused, _)| !reused), "{answers:?}");
+        let built = answers.iter().filter(|&&(_, cached)| !cached).count();
+        assert_eq!(built, 1, "round {round}: {answers:?}");
+
+        let mut client = Client::connect(&addr);
+        let mut classifications = 0;
+        for t in 0..TENANTS {
+            for (query, verdict) in [
+                (format!("a{k}[b]"), "satisfiable"),
+                ("b".into(), "unsatisfiable"),
+            ] {
+                let answer = client.expect_ok(&format!(
+                    r#"{{"op":"check","dtd_id":0,"query":"{query}","tenant":"race{t}"}}"#
+                ));
+                assert_eq!(
+                    answer.get("result").and_then(Json::as_str),
+                    Some(verdict),
+                    "{query}"
+                );
+            }
+            let stats = client.expect_ok(&format!(r#"{{"op":"stats","tenant":"race{t}"}}"#));
+            classifications += stats
+                .get("classifications")
+                .and_then(Json::as_u64)
+                .expect("counter");
+        }
+        assert_eq!(classifications, 1, "round {round}");
         handle.shutdown();
     }
 }

@@ -316,27 +316,47 @@ fn inflight_gate_sheds_oversized_batches() {
 }
 
 #[test]
-fn resident_bound_applies_per_tenant_workspace() {
-    let dir = scratch_dir("resident");
+fn tenants_registering_one_text_share_one_build() {
+    let dir = scratch_dir("shared-build");
     let config = ServerConfig {
         cache_dir: Some(dir.clone()),
-        max_resident_dtds: Some(1),
         ..ServerConfig::default()
     };
     let (handle, addr) = start(config);
+    let released = std::sync::Barrier::new(8);
+    let cached: Vec<bool> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                let (addr, released) = (&addr, &released);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    released.wait();
+                    let reg = client.round_trip(&format!(
+                        r#"{{"op":"register_dtd","dtd":"{DTD}","tenant":"t{t}"}}"#
+                    ));
+                    assert_eq!(field(&reg, "dtd_id").as_u64(), Some(0), "{reg}");
+                    assert_eq!(field(&reg, "reused").as_bool(), Some(false), "{reg}");
+                    field(&reg, "cached").as_bool().expect("cached is a bool")
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    // One tenant built the text; the seven others adopted its build and neither
+    // rebuilt nor loaded it.
+    assert_eq!(cached.iter().filter(|&&c| !c).count(), 1, "{cached:?}");
     let mut client = Client::connect(&addr);
-    client.round_trip(&format!(r#"{{"op":"register_dtd","dtd":"{DTD}"}}"#));
-    client.round_trip(r#"{"op":"register_dtd","dtd":"r -> c?; c -> #;"}"#);
-
-    // Only one artifact stays resident; the first DTD still answers (rematerialised
-    // from the shared store, not recompiled).
-    let check = client.round_trip(r#"{"op":"check","dtd_id":0,"query":"a[b]"}"#);
-    assert_eq!(field(&check, "result").as_str(), Some("satisfiable"));
-    let stats = client.round_trip(r#"{"op":"stats"}"#);
-    assert_eq!(field(&stats, "resident_dtds").as_u64(), Some(1));
-    assert!(field(&stats, "dtd_evictions").as_u64().unwrap() >= 1);
-    assert!(field(&stats, "artifact_rebuilds").as_u64().unwrap() >= 1);
-    assert_eq!(field(&stats, "classifications").as_u64(), Some(2));
+    let (mut classifications, mut store_hits) = (0, 0);
+    for t in 0..8 {
+        let stats = client.round_trip(&format!(r#"{{"op":"stats","tenant":"t{t}"}}"#));
+        classifications += field(&stats, "classifications").as_u64().unwrap();
+        store_hits += field(&stats, "artifact_store_hits").as_u64().unwrap();
+        let check = client.round_trip(&format!(
+            r#"{{"op":"check","dtd_id":0,"query":"a[b]","tenant":"t{t}"}}"#
+        ));
+        assert_eq!(field(&check, "result").as_str(), Some("satisfiable"));
+    }
+    assert_eq!((classifications, store_hits), (1, 0));
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

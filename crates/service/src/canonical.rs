@@ -20,17 +20,21 @@
 //! same engine limits, so an unexhausted verdict depends only on the instance.  A
 //! budget-exhausted `Unknown` reflects one caller's allowance and is never stored.
 //!
-//! A program is stamped with the artifact build it was compiled against
-//! ([`xpsat_dtd::DtdArtifacts::uid`]), and the VM refuses any other build.  A
-//! workspace holding another build of the same DTD text — another tenant's, or its
-//! own after an evicted DTD was rebuilt — replays the stored program re-stamped.
+//! The store also holds each DTD text's artifacts, next to its key: one build per
+//! text, made by the first registration of the text from any workspace and handed
+//! to every later one (racing registrations of a text wait for that build).  A
+//! program is stamped with the artifact build it was compiled against
+//! ([`xpsat_dtd::DtdArtifacts::uid`]), and the VM refuses any other build; since
+//! every workspace deciding through the store holds the store's build of a text, a
+//! stored program always matches it.
 //!
 //! Every [`crate::Workspace`] owns a private store unless it is handed a shared one
 //! ([`crate::Workspace::with_canonical_cache`]); the server's tenants share one.  Like
-//! the artifact store, sharing leaks nothing beyond "someone already decided this
-//! exact instance": an entry is a pure function of the (DTD, query) content.
+//! the artifact store, sharing leaks nothing beyond "someone already registered this
+//! DTD or decided this exact instance": a record or an entry is a pure function of
+//! the (DTD, query) content.
 
-use crate::workspace::lock_recovering;
+use crate::workspace::{lock_recovering, DtdArtifacts};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use xpsat_core::Decision;
@@ -43,6 +47,15 @@ const STRIPES: usize = 16;
 /// Store-wide handle of one distinct canonical DTD text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct DtdKey(usize);
+
+/// One distinct canonical DTD text: its key, and its artifacts once the first
+/// registration of the text has materialised them.  Every workspace deciding
+/// through the store shares the record, so the text is built once per store.
+#[derive(Debug)]
+pub(crate) struct DtdRecord {
+    pub(crate) key: DtdKey,
+    pub(crate) artifacts: OnceLock<Arc<DtdArtifacts>>,
+}
 
 /// Everything known about one structural class against one DTD.
 #[derive(Debug)]
@@ -72,7 +85,7 @@ type Stripe = Mutex<HashMap<(DtdKey, u64), Arc<StoreEntry>>>;
 /// The content-keyed decision store; see the [module docs](self).
 #[derive(Debug)]
 pub struct CanonicalCache {
-    dtd_keys: Mutex<HashMap<String, DtdKey>>,
+    dtds: Mutex<HashMap<String, Arc<DtdRecord>>>,
     stripes: Vec<Stripe>,
 }
 
@@ -87,20 +100,25 @@ impl CanonicalCache {
     /// that should share it ([`crate::Workspace::with_canonical_cache`]).
     pub fn new() -> CanonicalCache {
         CanonicalCache {
-            dtd_keys: Mutex::default(),
+            dtds: Mutex::default(),
             stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// The key of a canonical DTD text, handed out on first sight.
-    pub(crate) fn dtd_key(&self, canonical: &str) -> DtdKey {
-        let mut keys = lock_recovering(&self.dtd_keys);
-        if let Some(&key) = keys.get(canonical) {
-            return key;
+    /// The record of a canonical DTD text, created (without artifacts) on first
+    /// sight.  The map lock is held only for the probe: artifacts are materialised
+    /// in the record's own `OnceLock`.
+    pub(crate) fn dtd_record(&self, canonical: &str) -> Arc<DtdRecord> {
+        let mut records = lock_recovering(&self.dtds);
+        if let Some(record) = records.get(canonical) {
+            return Arc::clone(record);
         }
-        let key = DtdKey(keys.len());
-        keys.insert(canonical.to_string(), key);
-        key
+        let record = Arc::new(DtdRecord {
+            key: DtdKey(records.len()),
+            artifacts: OnceLock::new(),
+        });
+        records.insert(canonical.to_string(), Arc::clone(&record));
+        record
     }
 
     /// The entry of a class, created empty on first touch.  When another canonical
@@ -161,7 +179,7 @@ mod tests {
     #[test]
     fn first_publish_wins_and_keys_are_exact() {
         let cache = CanonicalCache::new();
-        let dtd = cache.dtd_key("r -> a; a -> #;");
+        let dtd = cache.dtd_record("r -> a; a -> #;").key;
         let first = unsat();
         cache
             .entry(dtd, 7, "a[b and c]")

@@ -3,8 +3,9 @@
 //! The build environment has no crates.io access, so the JSON-lines protocol cannot use
 //! `serde`; this module implements the small subset of JSON the protocol needs: objects
 //! (insertion-ordered), arrays, strings with full escape handling, integer-valued
-//! numbers, booleans and `null`.  Fractional and exponent number syntax is accepted on
-//! input and parsed through `f64`.
+//! numbers, booleans and `null`.  Input is held to RFC 8259: numbers follow its
+//! grammar (no leading zeros, no bare `.` or exponent; fractions and exponents are
+//! parsed through `f64`), and control characters inside strings must be escaped.
 //!
 //! Parsing is linear in the input and its recursion is bounded: arrays and objects
 //! nest at most [`MAX_DEPTH`] levels, so a hostile line cannot exhaust the stack.
@@ -372,13 +373,15 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(0..0x20) => return Err(self.err("unescaped control character in string")),
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash in one piece.
-                    // Both are ASCII, so the run ends on a character boundary of the
-                    // `&str` input and needs no re-validation.
+                    // Copy the run up to the next quote, backslash or control
+                    // character in one piece.  All are ASCII, so the run ends on a
+                    // character boundary of the `&str` input and needs no
+                    // re-validation.
                     let run = self.bytes[self.pos..]
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .map_or(self.bytes.len(), |len| self.pos + len);
                     out.push_str(&self.text[self.pos..run]);
                     self.pos = run;
@@ -398,36 +401,52 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// A number in RFC 8259's grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             // f64::parse maps overflowing literals like 1e400 to infinity; rejecting
             // them here keeps every parsed value re-serialisable.
             Ok(n) if n.is_finite() => Ok(Json::Num(n)),
             _ => Err(self.err(format!("invalid number '{text}'"))),
         }
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let run = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if run == 0 {
+            return Err(self.err("expected a digit in number"));
+        }
+        self.pos += run;
+        Ok(())
     }
 }
 
@@ -491,6 +510,42 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         let rendered = Json::obj(vec![("x", Json::Num(f64::NEG_INFINITY))]).to_string();
         assert!(Json::parse(&rendered).is_ok(), "{rendered}");
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-120", -120.0),
+            ("0.5", 0.5),
+            ("-0.25e1", -2.5),
+            ("1E+2", 100.0),
+            ("1e-2", 0.01),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(value)), "{text}");
+        }
+        let cases = [
+            ("01", 1, "leading zero in number"),
+            ("-01", 2, "leading zero in number"),
+            ("[00]", 2, "leading zero in number"),
+            ("1.", 2, "expected a digit in number"),
+            ("1.e5", 2, "expected a digit in number"),
+            ("-", 1, "expected a digit in number"),
+            ("-.5", 1, "expected a digit in number"),
+            ("1e", 2, "expected a digit in number"),
+            ("1e+", 3, "expected a digit in number"),
+            (r#"{"n":-x}"#, 6, "expected a digit in number"),
+        ];
+        for (text, offset, message) in cases {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -737,6 +792,15 @@ mod tests {
             (r#"{"q":"ab\u00"}"#, 10, "invalid \\u escape"),
             (r#""\ud83dA""#, 7, "invalid \\u escape"),
             (r#""\ud83d\u0041""#, 13, "invalid low surrogate"),
+            ("\"a\u{1}b\"", 2, "unescaped control character in string"),
+            ("\"\u{0}\"", 1, "unescaped control character in string"),
+            (
+                "{\"q\":\"é\tx\"}",
+                8,
+                "unescaped control character in string",
+            ),
+            ("\"ab\ncd\"", 3, "unescaped control character in string"),
+            ("\"\\n\u{1f}\"", 3, "unescaped control character in string"),
         ];
         for (text, offset, message) in cases {
             let err = Json::parse(text).unwrap_err();

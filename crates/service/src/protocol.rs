@@ -241,10 +241,10 @@ impl ProtocolServer {
             ("op", Json::Str("register_dtd".into())),
             ("dtd_id", Json::Num(outcome.id.index() as f64)),
             ("reused", Json::Bool(outcome.reused)),
-            // `cached` = artifacts loaded from the persistent store instead of
-            // compiled; always false when no store is attached or the DTD was
-            // already registered in this process.
-            ("cached", Json::Bool(outcome.from_store)),
+            // `cached` = this registration built nothing: the artifacts came from
+            // another tenant's build of the text in this process, or from the
+            // persistent store.  Always false for a reuse (`reused: true`).
+            ("cached", Json::Bool(outcome.cached)),
         ]))
     }
 
@@ -843,6 +843,22 @@ mod tests {
     }
 
     #[test]
+    fn input_outside_rfc_8259_is_a_malformed_request() {
+        let server = ProtocolServer::new(1);
+        for (line, offset) in [
+            (r#"{"op":"health","n":01}"#, 20),
+            (r#"{"op":"health","n":1.}"#, 21),
+            ("{\"op\":\"health\",\"s\":\"a\u{1}\"}", 21),
+        ] {
+            let response = Json::parse(&server.handle_line(line)).unwrap();
+            let error = field(&response, "error");
+            assert_eq!(field(error, "kind").as_str(), Some("malformed_request"));
+            let message = field(error, "message").as_str().unwrap();
+            assert!(message.contains(&format!("at byte {offset}:")), "{message}");
+        }
+    }
+
+    #[test]
     fn register_check_batch_stats_round_trip() {
         let server = ProtocolServer::new(2);
         let reg = Json::parse(
@@ -889,7 +905,7 @@ mod tests {
         let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
         assert_eq!(
             keys.join(" "),
-            "ok op dtds_registered dtds_reused resident_dtds dtd_evictions artifact_rebuilds \
+            "ok op dtds_registered dtds_reused \
              classifications normalizations automata_built queries_interned queries_reused \
              decisions_computed decision_cache_hits artifact_store_hits artifact_store_misses \
              artifact_store_writes artifact_store_corrupt deadline_exceeded resource_exhausted \

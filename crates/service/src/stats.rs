@@ -16,9 +16,8 @@ pub const BAIL_REASONS: usize = BailReason::ALL.len();
 /// copy between them and [`StatsSnapshot::counters`].
 macro_rules! counters {
     ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
-        /// Counters updated by the workspace (monotone, except the `resident_dtds`
-        /// gauge); thread-safe, relaxed ordering (the counters are diagnostics, never
-        /// synchronisation).
+        /// Counters updated by the workspace (monotone); thread-safe, relaxed
+        /// ordering (the counters are diagnostics, never synchronisation).
         #[derive(Debug, Default)]
         pub struct CacheStats {
             $(pub(crate) $name: AtomicU64,)+
@@ -58,16 +57,11 @@ macro_rules! counters {
 }
 
 counters! {
-    /// DTDs registered for the first time (full preprocessing ran).
+    /// DTDs registered in this workspace for the first time (preprocessing ran only
+    /// if no workspace sharing the decision store had built the text).
     dtds_registered,
     /// `register_dtd` calls served by the canonical-text dedup table.
     dtds_reused,
-    /// Gauge (not a counter): compiled artifacts currently resident in memory.
-    resident_dtds,
-    /// Resident compiled artifacts evicted by the LRU residency bound.
-    dtd_evictions,
-    /// Evicted artifacts brought back (from the store or by recompiling).
-    artifact_rebuilds,
     /// How many times [`xpsat_dtd::classify()`] actually ran.
     classifications,
     /// How many times [`xpsat_dtd::normalize()`] actually ran.
@@ -84,7 +78,7 @@ counters! {
     /// Decisions served again to this workspace: its own earlier decision of the
     /// same `(dtd, structural class)`, or one it was already served.
     decision_cache_hits,
-    /// Registrations (or rematerialisations) served from the on-disk artifact store.
+    /// Registrations served from the on-disk artifact store.
     artifact_store_hits,
     /// Store lookups that found no valid entry (absent or corrupt).
     artifact_store_misses,

@@ -22,13 +22,12 @@
 //! [`DecisionProgram`] and replayed in the allocation-free plan VM; the AST [`Solver`]
 //! remains the oracle for everything else.
 //!
-//! Registered artifacts are held as [`Arc<DtdArtifacts>`] behind per-slot residency:
-//! with a [`Workspace::with_resident_bound`] in force, the least-recently-used compiled
-//! artifacts are dropped from memory once the bound is exceeded and transparently
-//! *rematerialised* on next touch — from the optional persistent [`ArtifactStore`]
-//! when one is attached ([`Workspace::with_store`]), else by recompiling from the
-//! canonical text.  Ids, interned queries and decisions all survive eviction, and a
-//! stored program replays against the rebuilt artifacts.
+//! A DTD's artifacts depend only on its canonical text, so they live in the decision
+//! store too, next to the text's key: the first registration of a text, from any
+//! workspace sharing the store, materialises them — loaded from the optional
+//! persistent [`ArtifactStore`] ([`Workspace::with_store`]), else built, warmed and
+//! saved — and every later one adopts that build as an [`Arc<DtdArtifacts>`].  What
+//! stays per workspace is its own: DTD ids, the query table and the served classes.
 //!
 //! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
 //! look the class up among those this workspace has already been served (a
@@ -38,10 +37,11 @@
 //! when every query is an interned spelling of a decided class, and otherwise
 //! declines having counted and inserted nothing.  Every operation takes `&self`, so
 //! one workspace is shared across batch workers and concurrent requests.  The DTD
-//! registry is append-only, like the query table: a registration parses and builds
-//! holding only its text's registration gate (so racing registrations of one text
-//! build it once) and only then appends under the registry's own short lock, so it
-//! never waits for, or holds back, a decide.  Decisions are stored and served as
+//! registry is append-only, like the query table: a registration parses and
+//! materialises its text's artifacts in the store's record for the text (so racing
+//! registrations of one text, from any workspace, build it once) and only then
+//! appends under the registry's own short lock, so it never waits for, or holds
+//! back, a decide.  Decisions are stored and served as
 //! [`Arc<Decision>`]: a cache hit is a pointer bump, never a witness-document clone.
 
 use crate::canonical::{CanonicalCache, DtdKey, StoreEntry};
@@ -49,7 +49,7 @@ use crate::stats::{CacheStats, StatsSnapshot};
 use crate::store::{ArtifactStore, StoreMiss};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -66,7 +66,7 @@ thread_local! {
 }
 
 /// Lock a mutex, recovering from poison.  Everything guarded this way (the served
-/// table, the decision store's stripes, residency slots, the query table and the
+/// table, the decision store's stripes and DTD records, the query table and the
 /// DTD registry) holds plain data whose every intermediate state is valid,
 /// so a panic while the lock was held — e.g. a panicking engine isolated by the
 /// server's `catch_unwind` — must not wedge the structure for every later request.
@@ -243,10 +243,11 @@ pub struct RegisterOutcome {
     pub id: DtdId,
     /// `true` when an identical DTD was already registered in this workspace.
     pub reused: bool,
-    /// `true` when the artifacts were loaded from the persistent store instead of
-    /// being compiled (always `false` when `reused` is `true` or no store is
-    /// attached).
-    pub from_store: bool,
+    /// `true` when this registration added the DTD without building anything: the
+    /// artifacts came from an earlier build of the text by a workspace sharing the
+    /// decision store, or from the persistent store.  Always `false` when `reused`
+    /// is `true`.
+    pub cached: bool,
 }
 
 /// Byte range of an input error, as reported by the parsers (`(offset, len)` into the
@@ -305,26 +306,20 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// One registered DTD: the immutable identity (canonical text) plus the evictable
-/// compiled artifacts.  The id is the slot index, so ids never die — only residency
-/// changes.
+/// One registered DTD: its key in the decision store and the store's build of its
+/// text.  The id is the slot index.
 #[derive(Debug)]
 struct DtdSlot {
-    canonical: String,
-    /// The DTD's key in the decision store.
     key: DtdKey,
-    /// The compiled artifacts while resident; `None` after LRU eviction.
-    resident: Mutex<Option<Arc<DtdArtifacts>>>,
-    /// Logical timestamp of the last touch (from the workspace's LRU clock).
-    last_used: AtomicU64,
+    artifacts: Arc<DtdArtifacts>,
 }
 
-/// The DTD registry: every registered DTD by id, and its id by canonical text.  It
-/// only grows, and a slot is cloned out before anything slow touches it.
+/// The DTD registry: every registered DTD by id, and its id by decision-store key.
+/// It only grows.
 #[derive(Debug, Default)]
 struct DtdTable {
-    slots: Vec<Arc<DtdSlot>>,
-    by_canonical: HashMap<String, DtdId>,
+    slots: Vec<DtdSlot>,
+    by_key: HashMap<DtdKey, DtdId>,
 }
 
 /// The satisfiability service: DTD registry, query interner, served-class table over
@@ -333,56 +328,47 @@ struct DtdTable {
 pub struct Workspace {
     solver: Solver,
     /// The DTD registry, behind its own lock.  It is held only to probe, push or
-    /// clone a slot out: never across a parse, a build, store I/O or a decide.
+    /// read a slot: never across a parse, a build, store I/O or a decide.
     dtds: RwLock<DtdTable>,
-    /// One gate per canonical text being registered: racing registrations of a text
-    /// queue on it, so the text is built (and saved) once.  An entry lives only while
-    /// its registration runs.
-    registering: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// The query interner, behind its own lock so interning takes `&self`.  It is
     /// never held while canonicalising or deciding, and an intern leaves it valid at
     /// every step (a query is pushed before its spelling names it).
     queries: RwLock<QueryTable>,
-    /// The decision store: every class's decision and program (private unless
-    /// shared through [`Workspace::with_canonical_cache`]).
+    /// The decision store: every DTD text's artifacts and every class's decision and
+    /// program (private unless shared through [`Workspace::with_canonical_cache`]).
     canonical: Arc<CanonicalCache>,
     /// The store entries of the classes this workspace has been served.
     served: Mutex<HashMap<ClassKey, Arc<StoreEntry>>>,
     stats: CacheStats,
     store: Option<ArtifactStore>,
-    /// Maximum number of *resident* compiled artifacts; `None` = unbounded.
-    resident_bound: Option<usize>,
-    lru_clock: AtomicU64,
 }
 
 impl Workspace {
-    /// Attach a persistent artifact store: registrations consult it before compiling
-    /// and write fresh compiles back, and evicted artifacts rematerialise from it.
+    /// Attach a persistent artifact store: the first registration of a text consults
+    /// it before building, and writes a fresh build back.
     pub fn with_store(mut self, store: ArtifactStore) -> Workspace {
         self.store = Some(store);
         self
     }
 
-    /// Bound the number of compiled artifacts resident in memory (at least 1).  Excess
-    /// artifacts are evicted least-recently-used and rematerialised on next touch.
-    pub fn with_resident_bound(mut self, bound: usize) -> Workspace {
-        self.resident_bound = Some(bound.max(1));
-        self
-    }
-
     /// Replace the private decision store with `cache`, shared with other workspaces
-    /// (the server's tenants): each then serves structurally identical instances of
-    /// the same DTD text from the others' decisions and compiled programs.  DTDs
-    /// registered before the swap are re-keyed in the new store; the classes served
-    /// to this workspace before it stay behind in the old one.
+    /// (the server's tenants): each then shares the others' DTD builds and serves
+    /// structurally identical instances of the same DTD text from their decisions and
+    /// compiled programs.  DTDs registered before the swap are re-keyed in the new
+    /// store, adopting its build of the text (or offering it this workspace's own),
+    /// so the programs it holds replay here; the classes served to this workspace
+    /// before the swap stay behind in the old store.
     pub fn with_canonical_cache(mut self, cache: Arc<CanonicalCache>) -> Workspace {
         let table = self.dtds.get_mut().unwrap_or_else(PoisonError::into_inner);
         for slot in &mut table.slots {
-            // Slots are cloned out only for the length of a call, and this workspace
-            // is owned here: no clone is alive.
-            let slot = Arc::get_mut(slot).expect("no registry slot is shared");
-            slot.key = cache.dtd_key(&slot.canonical);
+            let record = cache.dtd_record(&slot.artifacts.canonical);
+            slot.artifacts =
+                Arc::clone(record.artifacts.get_or_init(|| Arc::clone(&slot.artifacts)));
+            slot.key = record.key;
         }
+        table.by_key = (table.slots.iter().enumerate())
+            .map(|(id, slot)| (slot.key, DtdId(id)))
+            .collect();
         self.served = Mutex::default();
         self.canonical = cache;
         self
@@ -407,13 +393,15 @@ impl Workspace {
     }
 
     /// [`Workspace::register_dtd`], reporting whether the DTD was deduplicated and
-    /// whether its artifacts came out of the persistent store.
+    /// whether this registration built its artifacts.
     ///
-    /// The DTD is parsed, canonicalised and materialised (loaded from the store or
-    /// built, then saved) with no registry lock held; only the append takes the
-    /// registry's write lock.  Registrations of one new text race through a gate
-    /// held across the materialisation: the first builds and appends, and each of the
-    /// others, once through, finds the text registered and counts as a reuse.
+    /// The DTD is parsed, canonicalised and materialised with no registry lock held;
+    /// only the append takes the registry's write lock.  Materialising runs once per
+    /// text in the decision store's record for it: the first registration of the
+    /// text, from any workspace sharing the store, loads it from the persistent
+    /// store or builds it (then saves it), and racing registrations wait for that
+    /// build and adopt it.  Racing registrations of one text in one workspace all
+    /// get the first appended id, and all but that one count as reuses.
     /// Registrations of different texts never wait for each other.
     pub fn register_dtd_report(&self, text: &str) -> Result<RegisterOutcome, ServiceError> {
         let dtd = parse_dtd(text).map_err(|e| ServiceError::DtdParse {
@@ -421,78 +409,54 @@ impl Workspace {
             span: (e.span.offset, e.span.len),
         })?;
         let canonical = dtd.to_string();
-        if let Some(id) = self.registered(&canonical) {
-            return Ok(self.reused(id));
-        }
-        let gate = Arc::clone(
-            lock_recovering(&self.registering)
-                .entry(canonical.clone())
-                .or_default(),
-        );
-        let turn = lock_recovering(&gate);
-        let outcome = match self.registered(&canonical) {
-            Some(id) => self.reused(id),
-            None => self.append(dtd, canonical.clone()),
-        };
-        // Retire the gate, unless a registration that arrived after it was retired
-        // has already put up a new one.  Later arrivals find the text registered.
-        let mut registering = lock_recovering(&self.registering);
-        if registering
-            .get(&canonical)
-            .is_some_and(|current| Arc::ptr_eq(current, &gate))
-        {
-            registering.remove(&canonical);
-        }
-        drop(registering);
-        drop(turn);
+        let record = self.canonical.dtd_record(&canonical);
+        // The registration that materialises the text appends it before any racer
+        // in this workspace can, so those racers count as reuses.
+        let mut materialized = None;
+        let artifacts = record.artifacts.get_or_init(|| {
+            let (artifacts, from_store) = self.materialize(dtd, canonical);
+            materialized = Some(RegisterOutcome {
+                cached: from_store,
+                ..self.append(record.key, &artifacts)
+            });
+            artifacts
+        });
+        let outcome = materialized.unwrap_or_else(|| self.append(record.key, artifacts));
+        CacheStats::bump(if outcome.reused {
+            &self.stats.dtds_reused
+        } else {
+            &self.stats.dtds_registered
+        });
         Ok(outcome)
     }
 
-    /// The id of a registered canonical text.
-    fn registered(&self, canonical: &str) -> Option<DtdId> {
-        read_recovering(&self.dtds)
-            .by_canonical
-            .get(canonical)
-            .copied()
-    }
-
-    /// Materialise a text that is not registered, and append it to the registry.
-    /// The caller holds the text's registration gate.
-    fn append(&self, dtd: Dtd, canonical: String) -> RegisterOutcome {
-        let (artifacts, from_store) = self.materialize(dtd, canonical.clone());
-        let key = self.canonical.dtd_key(&canonical);
+    /// Append a DTD to the registry unless its key is registered already.  An
+    /// append that did not materialise the artifacts built nothing: it is `cached`.
+    fn append(&self, key: DtdKey, artifacts: &Arc<DtdArtifacts>) -> RegisterOutcome {
         let mut table = write_recovering(&self.dtds);
-        CacheStats::bump(&self.stats.dtds_registered);
+        if let Some(&id) = table.by_key.get(&key) {
+            return RegisterOutcome {
+                id,
+                reused: true,
+                cached: false,
+            };
+        }
         let id = DtdId(table.slots.len());
-        table.slots.push(Arc::new(DtdSlot {
+        table.slots.push(DtdSlot {
             key,
-            canonical: canonical.clone(),
-            resident: Mutex::new(Some(artifacts)),
-            last_used: AtomicU64::new(self.touch()),
-        }));
-        table.by_canonical.insert(canonical, id);
-        drop(table);
-        CacheStats::bump(&self.stats.resident_dtds);
-        self.enforce_residency(id);
+            artifacts: Arc::clone(artifacts),
+        });
+        table.by_key.insert(key, id);
         RegisterOutcome {
             id,
             reused: false,
-            from_store,
+            cached: true,
         }
     }
 
-    /// Count a registration of an already registered DTD.
-    fn reused(&self, id: DtdId) -> RegisterOutcome {
-        CacheStats::bump(&self.stats.dtds_reused);
-        RegisterOutcome {
-            id,
-            reused: true,
-            from_store: false,
-        }
-    }
-
-    /// Produce the artifacts of a DTD: from the persistent store when possible, else
-    /// by running the full pipeline (and writing the result back to the store).
+    /// Produce the artifacts of a DTD, `true` when they came from the persistent
+    /// store: from it when possible, else by running the full pipeline (and writing
+    /// the result back to the store).
     fn materialize(&self, dtd: Dtd, canonical: String) -> (Arc<DtdArtifacts>, bool) {
         if let Some(store) = &self.store {
             match store.load(&canonical) {
@@ -536,56 +500,6 @@ impl Workspace {
         (artifacts, false)
     }
 
-    /// Advance the LRU clock and return the new timestamp.
-    fn touch(&self) -> u64 {
-        self.lru_clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Evict least-recently-used resident artifacts until the bound holds, never
-    /// touching `just_used` (the slot the caller is about to hand out).  Best-effort
-    /// under concurrency: slots whose locks are contended are skipped this round.
-    fn enforce_residency(&self, just_used: DtdId) {
-        let Some(bound) = self.resident_bound else {
-            return;
-        };
-        // The scan takes slot locks only by `try_lock`, so holding the registry's
-        // read lock across it never waits on a rematerialisation.
-        let table = read_recovering(&self.dtds);
-        while self.resident_dtds() > bound {
-            let mut victim: Option<(&DtdSlot, u64)> = None;
-            for (index, slot) in table.slots.iter().enumerate() {
-                if index == just_used.0 {
-                    continue;
-                }
-                if let Ok(resident) = slot.resident.try_lock() {
-                    if resident.is_some() {
-                        let stamp = slot.last_used.load(Ordering::Relaxed);
-                        if victim.is_none_or(|(_, best)| stamp < best) {
-                            victim = Some((slot, stamp));
-                        }
-                    }
-                }
-            }
-            let Some((slot, stamp)) = victim else {
-                return;
-            };
-            let Ok(mut resident) = slot.resident.try_lock() else {
-                return;
-            };
-            // Re-check under the lock: a concurrent touch since the scan means the
-            // slot is no longer the LRU — give up this round rather than evict hot
-            // artifacts.
-            if resident.is_some() && slot.last_used.load(Ordering::Relaxed) == stamp {
-                *resident = None;
-                drop(resident);
-                self.stats.resident_dtds.fetch_sub(1, Ordering::Relaxed);
-                CacheStats::bump(&self.stats.dtd_evictions);
-            } else {
-                return;
-            }
-        }
-    }
-
     /// The decision-store key of a registered DTD.
     fn dtd_key(&self, id: DtdId) -> Result<DtdKey, ServiceError> {
         read_recovering(&self.dtds)
@@ -595,36 +509,18 @@ impl Workspace {
             .ok_or(ServiceError::UnknownDtd(id.0))
     }
 
-    /// The artifacts of a registered DTD, rematerialising them if they were evicted.
+    /// The artifacts of a registered DTD: the decision store's build of its text.
     pub fn artifacts(&self, id: DtdId) -> Result<Arc<DtdArtifacts>, ServiceError> {
-        // Cloned out, so no registry lock is held while rematerialising.
-        let slot = read_recovering(&self.dtds).slots.get(id.0).cloned();
-        let slot = slot.ok_or(ServiceError::UnknownDtd(id.0))?;
-        slot.last_used.store(self.touch(), Ordering::Relaxed);
-        let mut resident = lock_recovering(&slot.resident);
-        if let Some(artifacts) = resident.as_ref() {
-            return Ok(Arc::clone(artifacts));
-        }
-        // Evicted: bring it back from the store or by recompiling.  The canonical
-        // text always reparses (it round-tripped at registration).
-        let dtd = parse_dtd(&slot.canonical).expect("canonical DTD text round-trips");
-        let (artifacts, _) = self.materialize(dtd, slot.canonical.clone());
-        CacheStats::bump(&self.stats.artifact_rebuilds);
-        *resident = Some(Arc::clone(&artifacts));
-        drop(resident);
-        CacheStats::bump(&self.stats.resident_dtds);
-        self.enforce_residency(id);
-        Ok(artifacts)
+        read_recovering(&self.dtds)
+            .slots
+            .get(id.0)
+            .map(|slot| Arc::clone(&slot.artifacts))
+            .ok_or(ServiceError::UnknownDtd(id.0))
     }
 
     /// Number of registered (distinct) DTDs.
     pub fn dtd_count(&self) -> usize {
         read_recovering(&self.dtds).slots.len()
-    }
-
-    /// Number of compiled artifacts currently resident in memory.
-    pub fn resident_dtds(&self) -> usize {
-        self.stats.resident_dtds.load(Ordering::Relaxed) as usize
     }
 
     // ---- query interner --------------------------------------------------------
@@ -879,8 +775,7 @@ impl Workspace {
     /// among those decided, counting the hit (see [`Workspace::count_hit`]): first
     /// in the classes this workspace was served, then in the decision store, whose
     /// entry for the class a miss creates for [`Workspace::compute_and_publish`].
-    /// Neither probe touches the DTD's artifacts, so an evicted DTD's decided
-    /// classes are served without rematerialising it.
+    /// Neither probe touches the DTD's artifacts.
     fn lookup(&self, dtd: DtdId, key: DtdKey, class: &QueryClass) -> Lookup {
         let found = match self.served_decision(dtd, class.rep) {
             Some(decision) => Found::Served(decision),
@@ -1041,33 +936,22 @@ impl Workspace {
         expired.into_inner()
     }
 
-    /// The compiled decision program of a class, stamped for `artifacts`.  It is
-    /// resolved once per class in the decision store: loaded from the persistent
-    /// store when one is attached and holds a valid entry (zero compiles after a
-    /// restart), else compiled (and written back).  `None` = outside the compiled
-    /// fragment, decided by the AST solver.
+    /// The compiled decision program of a class, stamped for `artifacts` — the
+    /// decision store's one build of the DTD text, so every workspace replays it
+    /// as stored.  It is resolved once per class in the decision store: loaded from
+    /// the persistent store when one is attached and holds a valid entry (zero
+    /// compiles after a restart), else compiled (and written back).  `None` =
+    /// outside the compiled fragment, decided by the AST solver.
     fn program_for(
         &self,
         entry: &StoreEntry,
         class: &QueryClass,
         artifacts: &DtdArtifacts,
     ) -> Option<Arc<DecisionProgram>> {
-        let program = entry
+        entry
             .program
             .get_or_init(|| self.resolve_program(class, artifacts))
-            .clone()?;
-        let uid = artifacts.compiled.uid();
-        if program.dtd_uid == uid {
-            return Some(program);
-        }
-        // Resolved against another build of this DTD text (another tenant's, or this
-        // workspace's before an eviction).  Symbol numbering is a function of the
-        // canonical text, so the program replays here once re-stamped, exactly as
-        // the persistent store re-stamps the programs it loads.
-        Some(Arc::new(DecisionProgram {
-            dtd_uid: uid,
-            ..DecisionProgram::clone(&program)
-        }))
+            .clone()
     }
 
     /// Load a class's program from the persistent store, else compile it (writing it
@@ -1145,7 +1029,7 @@ impl Workspace {
         Ok(self.program_for(&entry, &class, &artifacts))
     }
 
-    /// Current counter values (including the resident-artifact gauge).
+    /// Current counter values.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }
@@ -1225,63 +1109,6 @@ mod tests {
 
     const DTD_A: &str = "r -> a*; a -> b?; b -> #;";
     const DTD_B: &str = "r -> c | d; c -> #; d -> #;";
-    const DTD_C: &str = "r -> e+; e -> #;";
-
-    #[test]
-    fn resident_bound_evicts_lru_and_rematerialises() {
-        let ws = Workspace::default().with_resident_bound(1);
-        let a = ws.register_dtd(DTD_A).unwrap();
-        let b = ws.register_dtd(DTD_B).unwrap();
-        let c = ws.register_dtd(DTD_C).unwrap();
-        assert_eq!(ws.dtd_count(), 3);
-        assert_eq!(ws.resident_dtds(), 1);
-        let stats = ws.stats();
-        assert!(stats.dtd_evictions >= 2, "{stats}");
-
-        // Ids survive eviction: deciding against an evicted DTD recompiles it
-        // transparently and the verdict is unchanged.
-        let q = ws.intern("a[b]").unwrap();
-        let served = ws.decide(a, q).unwrap();
-        assert!(matches!(
-            served.decision.result,
-            xpsat_core::Satisfiability::Satisfiable(_)
-        ));
-        let rebuilds = ws.stats().artifact_rebuilds;
-        assert!(rebuilds >= 1, "expected a rematerialisation");
-        assert_eq!(ws.resident_dtds(), 1);
-
-        // The decision cache outlives residency: re-deciding after another eviction
-        // cycle is still a cache hit and needs no rebuild.
-        let qc = ws.intern("e").unwrap();
-        ws.decide(c, qc).unwrap();
-        let qb = ws.intern("c").unwrap();
-        ws.decide(b, qb).unwrap();
-        let again = ws.decide(a, q).unwrap();
-        assert!(again.cached);
-        let _ = (b, c);
-    }
-
-    #[test]
-    fn a_program_replays_after_its_dtd_is_evicted_and_rebuilt() {
-        let ws = Workspace::default().with_resident_bound(1);
-        let d = ws
-            .register_dtd("r -> a; a -> b | c; b -> d?; c -> #; d -> #;")
-            .unwrap();
-        let q = ws.intern("a[b/d or c]").unwrap();
-        // One step of fuel: the program is compiled, the decision exhausts and is not
-        // published.
-        let capped = ws.decide_batch(d, &[q], 1, None, Some(1)).unwrap();
-        assert!(capped[0].decision.exhausted.is_some());
-        // Evict the DTD: the next decide rebuilds its artifacts as a new build, and
-        // the stored program must still replay against it.
-        ws.register_dtd(DTD_A).unwrap();
-        let served = ws.decide(d, q).unwrap();
-        assert_eq!(engine_slug(served.decision.engine), "compiled-vm");
-        let stats = ws.stats();
-        assert_eq!(stats.artifact_rebuilds, 1, "{stats}");
-        assert_eq!(stats.vm_witness_fallbacks, 0, "{stats}");
-        assert_eq!(stats.programs_compiled, 1, "{stats}");
-    }
 
     #[test]
     fn the_store_matches_dtds_by_their_exact_text() {
@@ -1294,6 +1121,7 @@ mod tests {
         // A DTD registered before the swap is re-keyed in the shared store.
         let second = Workspace::default();
         let b2 = second.register_dtd(DTD_B).unwrap();
+        let e2 = second.register_dtd("r -> e+; e -> #;").unwrap();
         let second = second.with_canonical_cache(Arc::clone(&shared));
         let a2 = second.register_dtd(DTD_A).unwrap();
         let key = |ws: &Workspace, id: DtdId| ws.dtd_key(id).unwrap();
@@ -1301,6 +1129,14 @@ mod tests {
         assert_eq!(key(&first, a1), key(&second, a2));
         assert_eq!(key(&first, b1), key(&second, b2));
         assert_ne!(key(&first, a1), key(&first, b1));
+        // ... and the same build: the swap adopts the store's build of a text it
+        // holds, and offers the store its own build of a text it lacks.
+        let build = |ws: &Workspace, id: DtdId| ws.artifacts(id).unwrap();
+        assert!(Arc::ptr_eq(&build(&first, b1), &build(&second, b2)));
+        let outcome = first.register_dtd_report("r -> e+; e -> #;").unwrap();
+        assert!(outcome.cached && !outcome.reused);
+        assert!(Arc::ptr_eq(&build(&first, outcome.id), &build(&second, e2)));
+        assert_eq!(first.stats().classifications, 2);
 
         // `c` is satisfiable under DTD_B and not under DTD_A: an entry published
         // under one must not answer the same query text under the other.
@@ -1321,26 +1157,6 @@ mod tests {
         // Under the same text it is a store hit.
         assert!(second.decide(b2, q2).unwrap().cached);
         assert_eq!(second.stats().canonical_hits, 1);
-    }
-
-    #[test]
-    fn rematerialisation_prefers_the_store() {
-        let dir = std::env::temp_dir().join(format!("xpsat-ws-lru-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = crate::store::ArtifactStore::open(&dir).unwrap();
-        let ws = Workspace::default()
-            .with_store(store)
-            .with_resident_bound(1);
-        let a = ws.register_dtd(DTD_A).unwrap();
-        ws.register_dtd(DTD_B).unwrap();
-        // DTD_A was evicted; touching it again must hit the store, not reclassify.
-        let before = ws.stats();
-        ws.artifacts(a).unwrap();
-        let after = ws.stats();
-        assert_eq!(after.classifications, before.classifications);
-        assert_eq!(after.artifact_store_hits, before.artifact_store_hits + 1);
-        assert_eq!(after.artifact_rebuilds, before.artifact_rebuilds + 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1545,8 +1361,39 @@ mod tests {
         assert_eq!(stats.classifications, 1, "{stats}");
         assert!(stats.artifact_store_writes <= 1, "{stats}");
         assert_eq!(ws.dtd_count(), 1);
-        assert!(lock_recovering(&ws.registering).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workspaces_sharing_a_store_build_each_text_once() {
+        let shared = Arc::new(CanonicalCache::new());
+        let tenants: Vec<Workspace> = (0..8)
+            .map(|_| Workspace::default().with_canonical_cache(Arc::clone(&shared)))
+            .collect();
+        let outcomes = on_eight_threads(|i| tenants[i].register_dtd_report(DTD_A).unwrap());
+        assert!(outcomes.iter().all(|o| o.id == DtdId(0) && !o.reused));
+        assert_eq!(outcomes.iter().filter(|o| !o.cached).count(), 1);
+        let classifications: u64 = tenants.iter().map(|ws| ws.stats().classifications).sum();
+        assert_eq!(classifications, 1);
+        let first = tenants[0].artifacts(DtdId(0)).unwrap();
+        for ws in &tenants {
+            assert!(Arc::ptr_eq(&ws.artifacts(DtdId(0)).unwrap(), &first));
+        }
+        // One build means one stamp: a program compiled by one workspace replays in
+        // the VM of another.  One step of fuel compiles the program but publishes no
+        // decision.
+        let q = tenants[0].intern("a[b]").unwrap();
+        let capped = tenants[0]
+            .decide_batch(DtdId(0), &[q], 1, None, Some(1))
+            .unwrap();
+        assert!(capped[0].decision.exhausted.is_some());
+        let q = tenants[1].intern("a[b]").unwrap();
+        let served = tenants[1].decide(DtdId(0), q).unwrap();
+        assert!(!served.cached);
+        assert_eq!(engine_slug(served.decision.engine), "compiled-vm");
+        let stats = tenants[1].stats();
+        assert_eq!(stats.programs_compiled, 0, "{stats}");
+        assert_eq!(stats.vm_witness_fallbacks, 0, "{stats}");
     }
 
     #[test]
@@ -1562,31 +1409,6 @@ mod tests {
             assert_eq!(artifacts.compiled.dtd().root(), format!("r{i}"));
         }
         assert_eq!(ws.stats().dtds_registered, 8);
-    }
-
-    #[test]
-    fn racing_registrations_and_rematerialisations_keep_every_id() {
-        let ws = Workspace::default().with_resident_bound(1);
-        let text = |i: usize| format!("r{i} -> a*; a -> b?; b -> #;");
-        let first = ws.register_dtd(&text(0)).unwrap();
-        let ids = on_eight_threads(|i| {
-            let id = ws.register_dtd(&text(i % 4)).unwrap();
-            for _ in 0..4 {
-                ws.artifacts(first).unwrap();
-                ws.artifacts(id).unwrap();
-            }
-            id
-        });
-        assert_eq!(ws.dtd_count(), 4);
-        for (i, id) in ids.into_iter().enumerate() {
-            assert_eq!(
-                ws.artifacts(id).unwrap().compiled.dtd().root(),
-                format!("r{}", i % 4)
-            );
-        }
-        let stats = ws.stats();
-        assert!(stats.dtd_evictions >= 3, "{stats}");
-        assert!(stats.artifact_rebuilds >= 1, "{stats}");
     }
 
     #[test]

@@ -267,6 +267,21 @@ impl Fragment {
         }
     }
 
+    /// `X(↓, ↑)` — child and parent axes without qualifiers: the input class of
+    /// Theorem 6.8(2)'s rewriting into a downward query with qualifiers.
+    pub fn updown_no_qualifiers() -> Fragment {
+        Fragment {
+            name: "X(child, parent)",
+            allowed: Features {
+                label: true,
+                wildcard: true,
+                parent: true,
+                label_test: true,
+                ..Features::default()
+            },
+        }
+    }
+
     /// `X(→, ←)` — immediate sibling axes without qualifiers (Theorem 7.1, PTIME).
     pub fn sibling_no_qualifiers() -> Fragment {
         Fragment {
@@ -322,6 +337,10 @@ mod tests {
         let upward = Path::seq(Path::label("a"), Path::Parent);
         assert!(!positive.permits_path(&upward));
         assert!(Fragment::largest_positive().permits_path(&upward));
+        let updown = Fragment::updown_no_qualifiers();
+        assert!(updown.permits_path(&upward));
+        assert!(!updown.permits_path(&Path::seq(upward.clone(), Path::DescendantOrSelf)));
+        assert!(!updown.permits_path(&upward.filter(Qualifier::path(Path::label("b")))));
     }
 
     #[test]
