@@ -189,188 +189,11 @@ impl<S: Symbol> Dfa<S> {
     }
 
     /// Are the two automata language-equivalent (over the union of their alphabets)?
-    ///
-    /// Both sides are lowered to the dense matrix form over one shared alphabet
-    /// indexing, where the complement/product/emptiness chain runs over `u32` rows
-    /// instead of `BTreeMap` lookups.
+    /// Each side's intersection with the other's complement must be empty.
     pub fn equivalent(&self, other: &Dfa<S>) -> bool {
         let alphabet: BTreeSet<S> = self.alphabet.union(&other.alphabet).cloned().collect();
-        let left = self.to_dense(&alphabet);
-        let right = other.to_dense(&alphabet);
-        left.equivalent(&right)
-    }
-
-    /// Lower to the dense transition-matrix form.  `alphabet` fixes the symbol→index
-    /// mapping (by sorted position) and must contain every symbol of the DFA; symbols
-    /// outside the DFA's own alphabet get all-dead columns.
-    pub fn to_dense(&self, alphabet: &BTreeSet<S>) -> DenseDfa {
-        let index_of: BTreeMap<&S, usize> =
-            alphabet.iter().enumerate().map(|(i, s)| (s, i)).collect();
-        let num_symbols = alphabet.len();
-        let mut trans = vec![DENSE_DEAD; self.transitions.len() * num_symbols];
-        for (q, row) in self.transitions.iter().enumerate() {
-            for (sym, &next) in row {
-                let s = *index_of
-                    .get(sym)
-                    .expect("alphabet must cover the DFA's own alphabet");
-                trans[q * num_symbols + s] = next as u32;
-            }
-        }
-        DenseDfa {
-            num_symbols,
-            trans,
-            accepting: self.accepting.clone(),
-        }
-    }
-}
-
-/// Sentinel transition target marking the implicit dead state of a [`DenseDfa`].
-pub const DENSE_DEAD: u32 = u32::MAX;
-
-/// A DFA in dense matrix form: states are row indices, symbols are column indices
-/// (fixed externally, e.g. the sorted position in an alphabet or an interned-symbol
-/// index), and `trans[q * num_symbols + s]` is the successor state or [`DENSE_DEAD`].
-///
-/// The representation trades the generic symbol type for O(1) unchecked-shape lookups
-/// and cache-linear rows; it is what content-model equivalence checks and other
-/// product-heavy operations run over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseDfa {
-    num_symbols: usize,
-    /// Row-major transition matrix, `num_states * num_symbols` entries.
-    trans: Vec<u32>,
-    accepting: BitSet,
-}
-
-impl DenseDfa {
-    /// Number of states (state `0` is initial).
-    pub fn num_states(&self) -> usize {
-        // A symbol-less automaton still has its start state.
-        self.trans.len().checked_div(self.num_symbols).unwrap_or(1)
-    }
-
-    /// Number of symbol columns.
-    pub fn num_symbols(&self) -> usize {
-        self.num_symbols
-    }
-
-    /// Is `q` accepting?
-    pub fn is_accepting(&self, q: u32) -> bool {
-        self.accepting.contains(q as usize)
-    }
-
-    /// The successor of `q` on symbol column `s`, or [`DENSE_DEAD`].
-    pub fn step(&self, q: u32, s: usize) -> u32 {
-        if s >= self.num_symbols {
-            return DENSE_DEAD;
-        }
-        self.trans[q as usize * self.num_symbols + s]
-    }
-
-    /// Does the automaton accept this word of symbol columns?
-    pub fn accepts(&self, word: &[usize]) -> bool {
-        let mut q = 0u32;
-        for &s in word {
-            q = self.step(q, s);
-            if q == DENSE_DEAD {
-                return false;
-            }
-        }
-        self.is_accepting(q)
-    }
-
-    /// Complement: materialise the dead state as an explicit all-self-loop row and flip
-    /// acceptance.
-    pub fn complement(&self) -> DenseDfa {
-        let n = self.num_states();
-        let dead = n as u32;
-        let mut trans = Vec::with_capacity((n + 1) * self.num_symbols);
-        for &t in &self.trans {
-            trans.push(if t == DENSE_DEAD { dead } else { t });
-        }
-        trans.extend(std::iter::repeat_n(dead, self.num_symbols));
-        let accepting: BitSet = (0..=n).filter(|&q| !self.accepting.contains(q)).collect();
-        DenseDfa {
-            num_symbols: self.num_symbols,
-            trans,
-            accepting,
-        }
-    }
-
-    /// Product automaton accepting the intersection.  Both operands must share one
-    /// symbol indexing (same `num_symbols` meaning the same columns).
-    pub fn intersect(&self, other: &DenseDfa) -> DenseDfa {
-        assert_eq!(
-            self.num_symbols, other.num_symbols,
-            "dense product requires a shared alphabet indexing"
-        );
-        let (na, nb) = (self.num_states(), other.num_states());
-        // Dense pair→id map; content-model automata are small, so na*nb stays modest.
-        let mut pair_id = vec![DENSE_DEAD; na * nb];
-        let mut trans: Vec<u32> = Vec::new();
-        let mut accepting = BitSet::new();
-        let mut frontier: VecDeque<(u32, u32)> = VecDeque::new();
-        pair_id[0] = 0;
-        trans.resize(self.num_symbols, DENSE_DEAD);
-        if self.is_accepting(0) && other.is_accepting(0) {
-            accepting.insert(0);
-        }
-        frontier.push_back((0, 0));
-        while let Some((a, b)) = frontier.pop_front() {
-            let id = pair_id[a as usize * nb + b as usize];
-            for s in 0..self.num_symbols {
-                let (ta, tb) = (self.step(a, s), other.step(b, s));
-                if ta == DENSE_DEAD || tb == DENSE_DEAD {
-                    continue;
-                }
-                let slot = ta as usize * nb + tb as usize;
-                let next_id = if pair_id[slot] == DENSE_DEAD {
-                    let fresh = (trans.len() / self.num_symbols) as u32;
-                    pair_id[slot] = fresh;
-                    trans.extend(std::iter::repeat_n(DENSE_DEAD, self.num_symbols));
-                    if self.is_accepting(ta) && other.is_accepting(tb) {
-                        accepting.insert(fresh as usize);
-                    }
-                    frontier.push_back((ta, tb));
-                    fresh
-                } else {
-                    pair_id[slot]
-                };
-                trans[id as usize * self.num_symbols + s] = next_id;
-            }
-        }
-        DenseDfa {
-            num_symbols: self.num_symbols,
-            trans,
-            accepting,
-        }
-    }
-
-    /// Is the accepted language empty?  BFS over live rows.
-    pub fn is_empty(&self) -> bool {
-        let n = self.num_states();
-        let mut seen = BitSet::with_capacity(n);
-        seen.insert(0);
-        let mut queue = VecDeque::new();
-        queue.push_back(0u32);
-        while let Some(q) = queue.pop_front() {
-            if self.is_accepting(q) {
-                return false;
-            }
-            for s in 0..self.num_symbols {
-                let t = self.step(q, s);
-                if t != DENSE_DEAD && seen.insert(t as usize) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        true
-    }
-
-    /// Language equivalence via the dense complement/product chain.
-    pub fn equivalent(&self, other: &DenseDfa) -> bool {
-        self.intersect(&other.complement()).is_empty()
-            && other.intersect(&self.complement()).is_empty()
+        self.intersect(&other.complement(&alphabet)).is_empty()
+            && other.intersect(&self.complement(&alphabet)).is_empty()
     }
 }
 
@@ -439,54 +262,5 @@ mod tests {
         assert!(d.is_empty());
         let d2 = dfa(&c('a'));
         assert!(!d2.is_empty());
-    }
-
-    #[test]
-    fn dense_form_agrees_with_sparse() {
-        let re = Regex::concat(vec![Regex::star(Regex::alt(vec![c('a'), c('b')])), c('c')]);
-        let d = dfa(&re);
-        let alphabet: BTreeSet<char> = ['a', 'b', 'c'].into_iter().collect();
-        let dense = d.to_dense(&alphabet);
-        assert_eq!(dense.num_symbols(), 3);
-        let index = |ch: char| (ch as usize) - ('a' as usize);
-        for w in [
-            vec![],
-            vec!['c'],
-            vec!['a', 'c'],
-            vec!['a', 'b', 'c'],
-            vec!['c', 'c'],
-            vec!['b'],
-        ] {
-            let cols: Vec<usize> = w.iter().map(|&ch| index(ch)).collect();
-            assert_eq!(dense.accepts(&cols), d.accepts(&w), "word {w:?}");
-        }
-        // Out-of-alphabet columns reject.
-        assert!(!dense.accepts(&[7]));
-    }
-
-    #[test]
-    fn dense_complement_product_equivalence() {
-        let r1 = Regex::star(Regex::concat(vec![c('a'), c('b')]));
-        let r2 = Regex::concat(vec![
-            c('a'),
-            Regex::star(Regex::concat(vec![c('b'), c('a')])),
-            c('b'),
-        ]);
-        let alphabet: BTreeSet<char> = ['a', 'b'].into_iter().collect();
-        let d1 = dfa(&r1).to_dense(&alphabet);
-        let d2 = dfa(&r2).to_dense(&alphabet);
-        // r2 ⊊ r1: the intersection is r2, the symmetric difference is nonempty.
-        let inter = d1.intersect(&d2);
-        assert!(inter.accepts(&[0, 1]));
-        assert!(!inter.accepts(&[]));
-        assert!(d2.intersect(&d1.complement()).is_empty());
-        assert!(!d1.intersect(&d2.complement()).is_empty());
-        assert!(!d1.equivalent(&d2));
-        assert!(d1.equivalent(&dfa(&r1).to_dense(&alphabet)));
-        // The complement accepts exactly what the original rejects.
-        let comp = d1.complement();
-        for w in [vec![], vec![0], vec![0, 1], vec![1, 0], vec![0, 1, 0, 1]] {
-            assert_eq!(comp.accepts(&w), !d1.accepts(&w), "word {w:?}");
-        }
     }
 }

@@ -29,7 +29,7 @@ pub use cover::{
     shortest_covering_word, shortest_word, sib_pattern_symbols, sib_pattern_word,
     word_with_multiplicities, CoverDemand, SibPattern, SibRole,
 };
-pub use dfa::{DenseDfa, Dfa, DENSE_DEAD};
+pub use dfa::Dfa;
 pub use nfa::{Nfa, StateId};
 pub use regex::Regex;
 

@@ -211,77 +211,6 @@ impl<S: Symbol> Nfa<S> {
         nfa
     }
 
-    /// Reassemble an automaton from previously extracted parts (the inverse of reading
-    /// it back out through [`Nfa::transitions_from`], [`Nfa::accepting_states`] and
-    /// [`Nfa::symbol_of`]).  Used by persistent artifact stores to rehydrate compiled
-    /// automata without re-running the Glushkov construction.
-    ///
-    /// Rows are normalised (sorted by symbol, entries of one symbol merged, successor
-    /// lists sorted and deduplicated) so lookups by binary search keep working even if
-    /// the caller hands rows back in a different order.
-    ///
-    /// # Panics
-    /// Panics when `transitions`, `state_symbol` and the accepting set disagree on the
-    /// number of states, or when a successor index is out of range.
-    pub fn from_parts(
-        mut transitions: Vec<Vec<(S, Vec<StateId>)>>,
-        accepting: impl IntoIterator<Item = StateId>,
-        state_symbol: Vec<Option<S>>,
-    ) -> Nfa<S> {
-        let n = transitions.len();
-        assert_eq!(
-            state_symbol.len(),
-            n,
-            "from_parts: state_symbol length must equal the number of states"
-        );
-        let mut acc = BitSet::with_capacity(n);
-        for q in accepting {
-            assert!(q < n, "from_parts: accepting state {q} out of range");
-            acc.insert(q);
-        }
-        let mut nfa = Nfa {
-            row_start: Vec::with_capacity(n + 1),
-            edge_symbol: Vec::new(),
-            edge_start: Vec::new(),
-            successors: Vec::new(),
-            accepting: acc,
-            state_symbol,
-        };
-        for row in &mut transitions {
-            let row_begin = nfa.edge_symbol.len();
-            nfa.row_start.push(row_begin);
-            row.sort_by(|(a, _), (b, _)| a.cmp(b));
-            for (sym, succs) in row.drain(..) {
-                assert!(
-                    succs.iter().all(|&t| t < n),
-                    "from_parts: successor out of range"
-                );
-                let begin =
-                    if nfa.edge_symbol.len() > row_begin && nfa.edge_symbol.last() == Some(&sym) {
-                        // A second entry for the row's last symbol: merge it in.
-                        *nfa.edge_start.last().expect("the row has an edge")
-                    } else {
-                        nfa.edge_symbol.push(sym);
-                        nfa.edge_start.push(nfa.successors.len());
-                        nfa.successors.len()
-                    };
-                nfa.successors.extend(succs);
-                nfa.successors[begin..].sort_unstable();
-                let mut kept = begin;
-                for i in begin..nfa.successors.len() {
-                    if kept == begin || nfa.successors[kept - 1] != nfa.successors[i] {
-                        nfa.successors[kept] = nfa.successors[i];
-                        kept += 1;
-                    }
-                }
-                nfa.successors.truncate(kept);
-            }
-        }
-        nfa.row_start.push(nfa.edge_symbol.len());
-        nfa.edge_start.push(nfa.successors.len());
-        nfa
-    }
-
     /// Number of states (including the initial state).
     pub fn num_states(&self) -> usize {
         self.state_symbol.len()
@@ -663,26 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_merges_and_sorts_rows() {
-        let nfa = Nfa::from_parts(
-            vec![
-                vec![('b', vec![2, 2]), ('a', vec![1]), ('b', vec![1])],
-                vec![],
-                vec![],
-            ],
-            [1, 2],
-            vec![None, Some('a'), Some('b')],
-        );
-        let row: Vec<(char, Vec<StateId>)> = nfa
-            .transitions_from(0)
-            .map(|(s, t)| (*s, t.to_vec()))
-            .collect();
-        assert_eq!(row, vec![('a', vec![1]), ('b', vec![1, 2])]);
-        assert_eq!(nfa.step(0, &'b').collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(nfa.transitions_from(1).count(), 0);
-    }
-
-    #[test]
     fn glushkov_accepts_same_language_as_derivatives() {
         // ((a|b)*,c) and (a+,b?)
         let cases = vec![
@@ -754,41 +663,6 @@ mod tests {
         let re = Regex::Concat(vec![c('a'), Regex::Empty]);
         let nfa = Nfa::glushkov(&re);
         assert!(nfa.useful_states().is_empty());
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let re = Regex::concat(vec![
-            Regex::star(Regex::alt(vec![c('a'), c('b')])),
-            c('c'),
-            Regex::opt(c('d')),
-        ]);
-        let nfa = Nfa::glushkov(&re);
-        let transitions: Vec<Vec<(char, Vec<StateId>)>> = (0..nfa.num_states())
-            .map(|q| {
-                nfa.transitions_from(q)
-                    .map(|(sym, succs)| (*sym, succs.to_vec()))
-                    .collect()
-            })
-            .collect();
-        let accepting: Vec<StateId> = nfa.accepting_states().collect();
-        let state_symbol: Vec<Option<char>> = (0..nfa.num_states())
-            .map(|q| nfa.symbol_of(q).copied())
-            .collect();
-        let rebuilt = Nfa::from_parts(transitions, accepting, state_symbol);
-        for w in [
-            vec![],
-            vec!['c'],
-            vec!['a', 'b', 'c'],
-            vec!['c', 'd'],
-            vec!['d'],
-        ] {
-            assert_eq!(nfa.accepts(&w), rebuilt.accepts(&w), "{w:?}");
-        }
-        assert_eq!(
-            nfa.useful_states().iter().collect::<Vec<_>>(),
-            rebuilt.useful_states().iter().collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -115,46 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn realistic_automata_round_trip_through_from_parts() {
-        use xpsat_automata::{Nfa, StateId};
-        use xpsat_dtd::{DtdArtifacts, Sym};
-        for dtd in [xhtml_dtd(), docbook_dtd()] {
-            let artifacts = DtdArtifacts::build(&dtd);
-            let compiled = artifacts.compiled().unwrap();
-            for elem in compiled.elements() {
-                let nfa = compiled.automaton(elem);
-                let n = nfa.num_states();
-                let rows = |nfa: &Nfa<Sym>| -> Vec<Vec<(Sym, Vec<StateId>)>> {
-                    (0..n)
-                        .map(|q| {
-                            nfa.transitions_from(q)
-                                .map(|(s, t)| (*s, t.to_vec()))
-                                .collect()
-                        })
-                        .collect()
-                };
-                let symbols: Vec<Option<Sym>> = (0..n).map(|q| nfa.symbol_of(q).copied()).collect();
-                let rebuilt = Nfa::from_parts(rows(nfa), nfa.accepting_states(), symbols.clone());
-                let name = compiled.name(elem);
-                assert_eq!(rows(&rebuilt), rows(nfa), "{name}");
-                assert_eq!(
-                    rebuilt.accepting_states().collect::<Vec<_>>(),
-                    nfa.accepting_states().collect::<Vec<_>>(),
-                    "{name}"
-                );
-                let rebuilt_symbols: Vec<Option<Sym>> =
-                    (0..n).map(|q| rebuilt.symbol_of(q).copied()).collect();
-                assert_eq!(rebuilt_symbols, symbols, "{name}");
-                assert_eq!(
-                    &rebuilt.useful_states(),
-                    compiled.useful_states(elem),
-                    "{name}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn generators_are_deterministic_per_seed() {
         let dtd = layered_dtd(2, 2);
         let a: Vec<String> = {

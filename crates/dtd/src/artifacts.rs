@@ -53,23 +53,6 @@ impl DtdArtifacts {
         }
     }
 
-    /// Assemble artifacts from parts rehydrated out of a persistent store, skipping the
-    /// classification and compilation passes.  The caller vouches that `class` and
-    /// `compiled` were produced by [`DtdArtifacts::build`] (or an equivalent pipeline)
-    /// for this exact `dtd`.
-    pub fn from_cached_parts(
-        dtd: Dtd,
-        class: DtdClass,
-        compiled: Option<CompiledDtd>,
-    ) -> DtdArtifacts {
-        DtdArtifacts {
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
-            dtd,
-            class,
-            compiled,
-        }
-    }
-
     /// A process-unique identity for this compile, stable for the artifact's lifetime.
     /// Clones share the uid (they are the same compile), so per-artifact memo tables
     /// keyed by it stay valid across cheap handle copies.
@@ -188,45 +171,6 @@ impl CompiledDtd {
         }
     }
 
-    /// Rebuild a compile from a pruned DTD plus automata and useful-state masks that
-    /// were serialised out of an earlier compile, skipping the Glushkov construction
-    /// and the useful-state analysis.
-    ///
-    /// The eager structures (interner, graph, attribute sets) are re-derived from the
-    /// pruned DTD — [`DtdGraph::new`] interns element names in sorted order, so symbol
-    /// ids are deterministic and the stored `Sym`-indexed automata remain valid.
-    /// Callers must verify that `element names in id order` match the serialised
-    /// compile before trusting the indices (the persistent store does).
-    ///
-    /// # Panics
-    /// Panics when `automata` or `useful` do not have one entry per element type.
-    pub fn from_cached_automata(
-        pruned: Dtd,
-        automata: Vec<SymNfa>,
-        useful: Vec<BitSet>,
-    ) -> CompiledDtd {
-        let compiled = CompiledDtd::new(pruned);
-        assert_eq!(
-            automata.len(),
-            compiled.num_elements,
-            "from_cached_automata: one automaton per element type"
-        );
-        assert_eq!(
-            useful.len(),
-            compiled.num_elements,
-            "from_cached_automata: one useful-state mask per element type"
-        );
-        compiled
-            .automata
-            .set(automata.into())
-            .expect("fresh compile has no automata yet");
-        compiled
-            .useful
-            .set(useful.into())
-            .expect("fresh compile has no useful masks yet");
-        compiled
-    }
-
     /// The automata, built on first touch.
     fn automata(&self) -> &Arc<[SymNfa]> {
         self.automata.get_or_init(|| {
@@ -290,9 +234,7 @@ impl CompiledDtd {
         &self.graph
     }
 
-    /// The structural properties of the pruned DTD (computed eagerly at compile:
-    /// every construction path — fresh build or store rehydration — goes through
-    /// `CompiledDtd::new`, so no store format change is needed).
+    /// The structural properties of the pruned DTD (computed eagerly at compile).
     pub fn properties(&self) -> &DtdProperties {
         &self.props
     }
@@ -389,37 +331,6 @@ mod tests {
         let art = DtdArtifacts::build(&dtd);
         assert!(art.compiled().is_none());
         assert_eq!(art.automata_count(), 0);
-    }
-
-    #[test]
-    fn cached_automata_rebuild_matches_fresh_compile() {
-        let dtd = parse_dtd("r -> a*, b; a -> c | d; b -> #; c -> #; d -> #; @a: id;").unwrap();
-        let fresh = DtdArtifacts::build(&dtd);
-        let compiled = fresh.compiled().unwrap();
-        compiled.warm();
-        let automata: Vec<SymNfa> = compiled
-            .elements()
-            .map(|e| compiled.automaton(e).clone())
-            .collect();
-        let useful: Vec<BitSet> = compiled
-            .elements()
-            .map(|e| compiled.useful_states(e).clone())
-            .collect();
-        let rebuilt = CompiledDtd::from_cached_automata(compiled.dtd().clone(), automata, useful);
-        assert_eq!(rebuilt.num_elements(), compiled.num_elements());
-        assert_eq!(rebuilt.root(), compiled.root());
-        for sym in compiled.elements() {
-            assert_eq!(rebuilt.name(sym), compiled.name(sym));
-            let word = compiled.automaton(sym).shortest_word();
-            assert_eq!(rebuilt.automaton(sym).shortest_word(), word);
-            assert_eq!(
-                rebuilt.useful_states(sym).iter().collect::<Vec<_>>(),
-                compiled.useful_states(sym).iter().collect::<Vec<_>>()
-            );
-        }
-        let cached = DtdArtifacts::from_cached_parts(dtd.clone(), fresh.class().clone(), None);
-        assert_ne!(cached.uid(), fresh.uid());
-        assert_eq!(fresh.clone().uid(), fresh.uid());
     }
 
     #[test]

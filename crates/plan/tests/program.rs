@@ -257,6 +257,9 @@ fn program_is_rejected_against_another_build_of_the_same_text() {
     let budget = Budget::unlimited();
     assert!(vm::decide(&program, &first, &mut scratch, &budget).is_some());
     assert!(vm::decide(&program, &second, &mut scratch, &budget).is_none());
+    // A clone is the same build: it keeps the uid, so the program still replays.
+    assert_eq!(first.clone().uid(), first.uid());
+    assert!(vm::decide(&program, &first.clone(), &mut scratch, &budget).is_some());
 }
 
 #[test]

@@ -29,10 +29,10 @@
 //!   a watchdog that replaces decide workers stuck past `watchdog_stuck_ms`.
 //! * Persistence — with a cache directory configured, every tenant workspace is
 //!   backed by an [`xpsat_service::ArtifactStore`]: a restarted (or sibling) server
-//!   loads compiled artifacts from disk instead of re-running classification,
-//!   normalisation and automata construction.  `register_dtd` reports
-//!   `"cached":true` whenever the registration built nothing: the artifacts came
-//!   from the disk or from an earlier registration of the text by any tenant.
+//!   finds every registered DTD's text and every compiled decision program on disk,
+//!   and replays the programs instead of compiling them again.  `register_dtd`
+//!   reports `"cached":true` whenever the text was already known: the disk held it
+//!   (the artifacts are rebuilt from it), or any tenant registered it earlier.
 //! * Deadlines — a server-wide default deadline (and per-request `"deadline_ms"`)
 //!   bounds tail latency; expired requests answer a `deadline_exceeded` error while
 //!   still publishing partial progress to the decision cache.

@@ -7,13 +7,13 @@
 //! because they are content-addressed and therefore leak nothing tenant-specific:
 //!
 //! * the persistent [`ArtifactStore`], keyed by the hash of a DTD's canonical
-//!   text — a hit means "some process compiled this exact DTD before" and saves
-//!   the full compilation after a restart;
+//!   text — a hit means "some process registered this exact DTD before", and its
+//!   programs save every compile after a restart;
 //! * the in-memory [`CanonicalCache`], the decision store holding each DTD text's
 //!   artifacts and each class's decision and compiled program, keyed by the exact
 //!   canonical DTD text and the canonical query.  The first registration of a text
-//!   by any tenant builds it (or loads it from the artifact store), and every other
-//!   tenant's registration adopts that build; a cross-tenant decision hit means
+//!   by any tenant builds it (recording the text in the artifact store), and every
+//!   other tenant's registration adopts that build; a cross-tenant decision hit means
 //!   "someone already decided (or compiled) this exact instance" (up to qualifier
 //!   reordering and the other structural rewrites) and saves the solve or the
 //!   compile entirely.

@@ -1,65 +1,64 @@
-//! The persistent artifact store: compiled DTD artifacts serialised to a versioned
-//! on-disk cache so restarts and sibling servers skip recompilation.
+//! The persistent store: the DTD texts a service has registered, and the decision
+//! programs compiled against them, in a versioned on-disk cache shared by restarts
+//! and sibling servers.
 //!
 //! # Layout and keying
 //!
-//! One file per DTD under `<root>/v<STORE_VERSION>/<key>.art`, where `<key>` is the
-//! FNV-1a-64 hash of the DTD's *canonical* text (the same dedup key the in-memory
-//! [`Workspace`](crate::Workspace) registry uses) rendered as 16 hex digits.  The
-//! canonical text itself is stored inside the file and compared on load, so a hash
-//! collision or an overwritten file degrades to a cache miss, never a wrong artifact.
+//! One `.art` file per DTD under `<root>/v<STORE_VERSION>/<key>.art`, where `<key>`
+//! is the FNV-1a-64 hash of the DTD's *canonical* text (the same dedup key the
+//! in-memory [`Workspace`](crate::Workspace) registry uses) rendered as 16 hex
+//! digits.  Programs sit next to them as `<fingerprint>-<query hash>.prg`.
 //!
 //! # Versioning and invalidation
 //!
-//! The format version is part of the directory name *and* the file header.  Any change
-//! to the serialised shape (or to the artifact pipeline it snapshots) bumps
+//! The format version is part of the directory name *and* the `.prg` header.  Any
+//! change to the shape of an entry (or to the pipeline a program snapshots) bumps
 //! [`STORE_VERSION`], which silently orphans the old directory — old and new binaries
 //! can share a cache root without reading each other's entries.  There is no in-place
 //! migration: entries are pure caches, rebuilt from the DTD text on a miss.
+//! v3 made an `.art` entry the canonical text alone.
 //!
 //! # What is stored
 //!
-//! Everything expensive about [`DtdArtifacts`]: the structural classification, the
-//! normalisation `N(D)`, the pruned DTD, and per element type the Glushkov automaton
-//! with its useful-state mask.  The cheap eager structures (symbol interner, dense DTD
-//! graph, attribute sets) are *re-derived* on load — [`xpsat_dtd::DtdGraph`] interns
-//! element names in sorted order, so symbol ids are deterministic and the stored
-//! `Sym`-indexed automata stay valid; the loader verifies the stored element-name list
-//! against the reparsed DTD before trusting any index.
+//! An `.art` entry holds exactly the DTD's canonical text, byte for byte.  Everything
+//! the service precomputes for a DTD — classification, `N(D)`, the content-model
+//! automata — is a function of that text, and building it costs less than reading
+//! back a serialised copy did, so a hit rebuilds through [`DtdArtifacts::build`], the
+//! constructor registration uses.  A load compares the entry with the text the caller
+//! already holds: a truncated, flipped, torn or foreign entry fails that comparison,
+//! so a stored byte never reaches an automaton.
+//!
+//! A `.prg` entry holds one compiled [`DecisionProgram`], length-prefixed
+//! little-endian with an FNV-1a-64 trailer over the body, and is validated against
+//! the live artifacts before the VM may run it.
 //!
 //! # Concurrency
 //!
 //! Writes go to a unique temp file in the version directory and are `rename`d into
 //! place, so concurrent servers sharing one cache root either see a complete entry or
-//! none.  Every field is length-prefixed little-endian; a truncated or corrupt file
-//! fails decoding and is treated as a miss.
+//! none.
 
 use crate::workspace::DtdArtifacts;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use xpsat_automata::BitSet;
-use xpsat_dtd::{parse_dtd, CompiledDtd, DtdClass, Normalization, Sym, SymNfa};
+use xpsat_dtd::{parse_dtd, Sym};
 use xpsat_plan::{fnv64, DecisionProgram, MaskId, Op, Reg, TableId};
 
-/// Format version; bump on any change to the serialised shape.
-/// v2 added the FNV-1a-64 integrity trailer.
-pub const STORE_VERSION: u32 = 2;
-
-/// File magic, so stray files in the cache directory are rejected immediately.
-const MAGIC: &[u8; 8] = b"XPSATART";
+/// Format version; bump on any change to the shape of an entry.
+/// v2 added the FNV-1a-64 integrity trailer; v3 stores an `.art` entry as the
+/// canonical DTD text.
+pub const STORE_VERSION: u32 = 3;
 
 /// File magic of persisted decision programs (`.prg` entries).
 const PROGRAM_MAGIC: &[u8; 8] = b"XPSATPRG";
 
-/// Marker for "no symbol" in a serialised state-symbol table.
-const NO_SYM: u32 = u32::MAX;
-
 /// FNV-1a-64 of the canonical DTD text: the on-disk key.
 ///
-/// [`fnv64`] is also the entry integrity checksum: structural validation alone
-/// cannot catch a bit flip inside an automaton transition table (the damaged entry
-/// still decodes, then answers wrongly), so every entry carries a checksum trailer
-/// over its full body.
+/// [`fnv64`] is also the `.prg` integrity checksum: structural validation alone
+/// cannot catch a bit flip inside a mask or table (the damaged program still
+/// decodes, then answers wrongly), so every program carries a checksum trailer over
+/// its full body.
 pub fn canonical_key(canonical: &str) -> u64 {
     fnv64(canonical.as_bytes())
 }
@@ -98,50 +97,38 @@ impl ArtifactStore {
             .join(format!("{:016x}.art", canonical_key(canonical)))
     }
 
-    /// Is an entry present for this canonical text (without decoding it)?
+    /// Is an entry present for this canonical text (without reading it)?
     pub fn contains(&self, canonical: &str) -> bool {
         self.entry_path(canonical).exists()
     }
 
-    /// Serialise `artifacts` under its canonical key.  Atomic: concurrent writers of
-    /// the same DTD race benignly (same bytes), and readers never see half a file.
+    /// Record the canonical text of `artifacts` under its key.  Atomic: concurrent
+    /// writers of the same DTD race benignly (same bytes), and readers never see
+    /// half a file.
     pub fn save(&self, artifacts: &DtdArtifacts) -> std::io::Result<()> {
-        let bytes = encode(artifacts);
-        let final_path = self.entry_path(&artifacts.canonical);
-        let tmp_path = self.version_dir.join(format!(
-            ".tmp-{:016x}-{}",
-            canonical_key(&artifacts.canonical),
-            std::process::id()
-        ));
-        {
-            let mut file = std::fs::File::create(&tmp_path)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        match std::fs::rename(&tmp_path, &final_path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp_path);
-                Err(e)
-            }
-        }
+        let tmp_name = format!(".tmp-{:016x}-{}", artifacts.fingerprint, std::process::id());
+        self.write_entry(
+            &tmp_name,
+            &self.entry_path(&artifacts.canonical),
+            artifacts.canonical.as_bytes(),
+        )
     }
 
-    /// Rehydrate the artifacts of `canonical`, or report why it could not be served.
+    /// The artifacts of `canonical` when the store holds its entry, built by
+    /// [`DtdArtifacts::build`]; otherwise why not.
     ///
-    /// A corrupt entry is deleted on sight: entries are pure caches rebuilt from the
-    /// DTD text, so leaving damage in place would fail every future load of this key
-    /// while deleting it lets the next save repopulate the slot.
+    /// An entry that is not exactly `canonical` is deleted on sight: entries are
+    /// pure caches, so leaving damage in place would fail every future load of this
+    /// key while deleting it lets the next save repopulate the slot.
     pub fn load(&self, canonical: &str) -> Result<DtdArtifacts, StoreMiss> {
         let path = self.entry_path(canonical);
         let bytes = std::fs::read(&path).map_err(|_| StoreMiss::Absent)?;
-        match decode(&bytes, canonical) {
-            Some(artifacts) => Ok(artifacts),
-            None => {
-                let _ = std::fs::remove_file(&path);
-                Err(StoreMiss::Invalid)
-            }
+        if bytes != canonical.as_bytes() {
+            let _ = std::fs::remove_file(&path);
+            return Err(StoreMiss::Invalid);
         }
+        let dtd = parse_dtd(canonical).map_err(|_| StoreMiss::Invalid)?;
+        Ok(DtdArtifacts::build(&dtd))
     }
 
     /// Durability barrier: fsync the version directory so every `rename`d entry is
@@ -152,13 +139,18 @@ impl ArtifactStore {
         std::fs::File::open(&self.version_dir)?.sync_all()
     }
 
-    /// Remove the entry of `canonical`, if present (used by tests and operators).
-    pub fn evict(&self, canonical: &str) -> std::io::Result<()> {
-        match std::fs::remove_file(self.entry_path(canonical)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
+    /// Write `bytes` to the temp file `tmp_name` in the version directory, fsync it
+    /// and `rename` it to `final_path`.
+    fn write_entry(&self, tmp_name: &str, final_path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        let tmp_path = self.version_dir.join(tmp_name);
+        {
+            let mut file = std::fs::File::create(&tmp_path)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
         }
+        std::fs::rename(&tmp_path, final_path).inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp_path);
+        })
     }
 
     // ---- compiled decision programs ------------------------------------------------
@@ -166,12 +158,6 @@ impl ArtifactStore {
     fn program_path(&self, fingerprint: u64, canonical_hash: u64) -> PathBuf {
         self.version_dir
             .join(format!("{fingerprint:016x}-{canonical_hash:016x}.prg"))
-    }
-
-    /// Is a compiled program present for this `(DTD fingerprint, canonical query
-    /// hash)` pair (without decoding it)?
-    pub fn contains_program(&self, fingerprint: u64, canonical_hash: u64) -> bool {
-        self.program_path(fingerprint, canonical_hash).exists()
     }
 
     /// Persist a compiled decision program under `(DTD fingerprint, canonical query
@@ -184,24 +170,15 @@ impl ArtifactStore {
         canon_text: &str,
         program: &DecisionProgram,
     ) -> std::io::Result<()> {
-        let bytes = encode_program(fingerprint, canonical_hash, canon_text, program);
-        let final_path = self.program_path(fingerprint, canonical_hash);
-        let tmp_path = self.version_dir.join(format!(
+        let tmp_name = format!(
             ".tmp-{fingerprint:016x}-{canonical_hash:016x}-{}.prg",
             std::process::id()
-        ));
-        {
-            let mut file = std::fs::File::create(&tmp_path)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        match std::fs::rename(&tmp_path, &final_path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp_path);
-                Err(e)
-            }
-        }
+        );
+        self.write_entry(
+            &tmp_name,
+            &self.program_path(fingerprint, canonical_hash),
+            &encode_program(fingerprint, canonical_hash, canon_text, program),
+        )
     }
 
     /// Rehydrate the compiled program of `(fingerprint, canonical_hash)`, validated
@@ -229,222 +206,6 @@ impl ArtifactStore {
             }
         }
     }
-}
-
-// ---- encoding --------------------------------------------------------------------
-
-fn encode(artifacts: &DtdArtifacts) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.bytes(MAGIC);
-    w.u32(STORE_VERSION);
-    w.str(&artifacts.canonical);
-    encode_class(&mut w, artifacts.compiled.class());
-    w.str(&artifacts.normalization.dtd.to_string());
-    w.u32(artifacts.normalization.new_types.len() as u32);
-    for name in &artifacts.normalization.new_types {
-        w.str(name);
-    }
-    match artifacts.compiled.compiled() {
-        None => w.u8(0),
-        Some(compiled) => {
-            w.u8(1);
-            w.str(&compiled.dtd().to_string());
-            w.u32(compiled.num_elements() as u32);
-            for elem in compiled.elements() {
-                w.str(compiled.name(elem));
-            }
-            for elem in compiled.elements() {
-                encode_nfa(&mut w, compiled.automaton(elem));
-            }
-            for elem in compiled.elements() {
-                let useful = compiled.useful_states(elem);
-                w.u32(useful.len() as u32);
-                for state in useful.iter() {
-                    w.u32(state as u32);
-                }
-            }
-        }
-    }
-    let mut bytes = w.finish();
-    let checksum = fnv64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
-}
-
-fn encode_class(w: &mut Writer, class: &DtdClass) {
-    w.u8(class.recursive as u8);
-    w.u8(class.disjunction_free as u8);
-    w.u8(class.has_star as u8);
-    w.u8(class.normalized as u8);
-    match class.depth_bound {
-        None => w.u8(0),
-        Some(bound) => {
-            w.u8(1);
-            w.u64(bound as u64);
-        }
-    }
-}
-
-fn encode_nfa(w: &mut Writer, nfa: &SymNfa) {
-    let n = nfa.num_states();
-    w.u32(n as u32);
-    for q in 0..n {
-        w.u32(nfa.symbol_of(q).map_or(NO_SYM, |s| s.index() as u32));
-    }
-    let accepting: Vec<usize> = nfa.accepting_states().collect();
-    w.u32(accepting.len() as u32);
-    for q in accepting {
-        w.u32(q as u32);
-    }
-    for q in 0..n {
-        let row: Vec<(Sym, &[usize])> = nfa.transitions_from(q).map(|(s, t)| (*s, t)).collect();
-        w.u32(row.len() as u32);
-        for (sym, succs) in row {
-            w.u32(sym.index() as u32);
-            w.u32(succs.len() as u32);
-            for &t in succs {
-                w.u32(t as u32);
-            }
-        }
-    }
-}
-
-// ---- decoding --------------------------------------------------------------------
-
-fn decode(bytes: &[u8], expected_canonical: &str) -> Option<DtdArtifacts> {
-    // The integrity trailer first: any flipped or torn byte fails here, before the
-    // structural decode gets a chance to mis-trust the contents.
-    let body_len = bytes.len().checked_sub(8)?;
-    let (body, trailer) = bytes.split_at(body_len);
-    if u64::from_le_bytes(trailer.try_into().ok()?) != fnv64(body) {
-        return None;
-    }
-    let mut r = Reader::new(body);
-    if r.bytes(MAGIC.len())? != MAGIC.as_slice() || r.u32()? != STORE_VERSION {
-        return None;
-    }
-    let canonical = r.str()?;
-    // Key collision or foreign entry: refuse, the caller recompiles.
-    if canonical != expected_canonical {
-        return None;
-    }
-    let dtd = parse_dtd(&canonical).ok()?;
-    let class = decode_class(&mut r)?;
-    let normalized_text = r.str()?;
-    let normalized_dtd = parse_dtd(&normalized_text).ok()?;
-    let new_types = (0..r.u32()?)
-        .map(|_| r.str())
-        .collect::<Option<std::collections::BTreeSet<String>>>()?;
-    let normalization = Normalization {
-        dtd: normalized_dtd,
-        new_types,
-    };
-    let compiled = match r.u8()? {
-        0 => None,
-        1 => {
-            let pruned_text = r.str()?;
-            let pruned = parse_dtd(&pruned_text).ok()?;
-            // Symbol ids are positions in the sorted element-name list; verify the
-            // stored layout matches what the reparsed DTD will intern before trusting
-            // any stored index.
-            let expected_names = pruned.element_names();
-            let stored_count = r.u32()? as usize;
-            if stored_count != expected_names.len() {
-                return None;
-            }
-            for expected in &expected_names {
-                if r.str()?.as_str() != expected {
-                    return None;
-                }
-            }
-            let num_elements = expected_names.len();
-            let automata = (0..num_elements)
-                .map(|_| decode_nfa(&mut r, num_elements))
-                .collect::<Option<Vec<SymNfa>>>()?;
-            let useful = automata
-                .iter()
-                .map(|nfa| {
-                    let mut mask = BitSet::with_capacity(nfa.num_states());
-                    for _ in 0..r.u32()? {
-                        let state = r.u32()? as usize;
-                        if state >= nfa.num_states() {
-                            return None;
-                        }
-                        mask.insert(state);
-                    }
-                    Some(mask)
-                })
-                .collect::<Option<Vec<BitSet>>>()?;
-            Some(CompiledDtd::from_cached_automata(pruned, automata, useful))
-        }
-        _ => return None,
-    };
-    if !r.at_end() {
-        return None;
-    }
-    let fingerprint = canonical_key(&canonical);
-    Some(DtdArtifacts {
-        canonical,
-        fingerprint,
-        normalization,
-        compiled: xpsat_dtd::DtdArtifacts::from_cached_parts(dtd, class, compiled),
-    })
-}
-
-fn decode_class(r: &mut Reader) -> Option<DtdClass> {
-    let recursive = r.bool()?;
-    let disjunction_free = r.bool()?;
-    let has_star = r.bool()?;
-    let normalized = r.bool()?;
-    let depth_bound = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()? as usize),
-        _ => return None,
-    };
-    Some(DtdClass {
-        recursive,
-        disjunction_free,
-        has_star,
-        normalized,
-        depth_bound,
-    })
-}
-
-fn decode_nfa(r: &mut Reader, num_elements: usize) -> Option<SymNfa> {
-    let n = r.u32()? as usize;
-    let state_symbol = (0..n)
-        .map(|_| match r.u32()? {
-            NO_SYM => Some(None),
-            index if (index as usize) < num_elements => Some(Some(Sym::from_index(index as usize))),
-            _ => None,
-        })
-        .collect::<Option<Vec<Option<Sym>>>>()?;
-    let accepting = (0..r.u32()?)
-        .map(|_| {
-            let q = r.u32()? as usize;
-            (q < n).then_some(q)
-        })
-        .collect::<Option<Vec<usize>>>()?;
-    let transitions = (0..n)
-        .map(|_| {
-            (0..r.u32()?)
-                .map(|_| {
-                    let sym_index = r.u32()? as usize;
-                    if sym_index >= num_elements {
-                        return None;
-                    }
-                    let succs = (0..r.u32()?)
-                        .map(|_| {
-                            let t = r.u32()? as usize;
-                            (t < n).then_some(t)
-                        })
-                        .collect::<Option<Vec<usize>>>()?;
-                    Some((Sym::from_index(sym_index), succs))
-                })
-                .collect::<Option<Vec<(Sym, Vec<usize>)>>>()
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(SymNfa::from_parts(transitions, accepting, state_symbol))
 }
 
 // ---- decision-program encoding ---------------------------------------------------
@@ -778,17 +539,7 @@ mod tests {
     const DTD: &str = "r -> a*, b; a -> c | d; b -> #; c -> #; d -> #; @a: id;";
 
     fn build(text: &str) -> DtdArtifacts {
-        let dtd = parse_dtd(text).unwrap();
-        let canonical = dtd.to_string();
-        let compiled = xpsat_dtd::DtdArtifacts::build(&dtd);
-        compiled.warm();
-        let fingerprint = canonical_key(&canonical);
-        DtdArtifacts {
-            canonical,
-            fingerprint,
-            normalization: xpsat_dtd::normalize(&dtd),
-            compiled,
-        }
+        DtdArtifacts::build(&parse_dtd(text).unwrap())
     }
 
     #[test]
@@ -805,6 +556,7 @@ mod tests {
         assert!(store.contains(&fresh.canonical));
         let loaded = store.load(&fresh.canonical).unwrap();
         assert_eq!(loaded.canonical, fresh.canonical);
+        assert_eq!(loaded.fingerprint, fresh.fingerprint);
         assert_eq!(loaded.compiled.dtd(), fresh.compiled.dtd());
         assert_eq!(loaded.compiled.class(), fresh.compiled.class());
         assert_eq!(loaded.normalization.dtd, fresh.normalization.dtd);
@@ -831,18 +583,16 @@ mod tests {
 
     #[test]
     fn keys_and_checksums_match_existing_v2_entries() {
-        // Pinned from the entry an earlier v2 build wrote for this DTD: its file name
-        // (the canonical key) and its FNV-1a-64 trailer.  If either drifts, every
-        // existing cache directory silently turns into misses.
+        // The file name (the canonical key) is pinned from the entry an earlier v2
+        // build wrote for this DTD: if it drifts, every existing cache directory
+        // silently turns into misses.  Since v3 the entry is the canonical text.
         let dir = scratch_dir();
         let store = ArtifactStore::open(&dir).unwrap();
         let fresh = build("r -> a*, b; a -> c | d; b -> #; c -> #; d -> #; @a: id, lang;");
         assert_eq!(fresh.fingerprint, 0x44a3_bdd3_ba9f_be9c);
         store.save(&fresh).unwrap();
         let bytes = std::fs::read(store.version_dir().join("44a3bdd3ba9fbe9c.art")).unwrap();
-        assert_eq!(bytes.len(), 581);
-        let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        assert_eq!(trailer, 0xbb75_ff8a_1e08_492e);
+        assert_eq!(bytes, fresh.canonical.as_bytes());
         assert!(store.load(&fresh.canonical).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -851,20 +601,48 @@ mod tests {
     fn rehydrated_artifacts_decide_identically() {
         let dir = scratch_dir();
         let store = ArtifactStore::open(&dir).unwrap();
-        let fresh = build(DTD);
-        store.save(&fresh).unwrap();
-        let loaded = store.load(&fresh.canonical).unwrap();
         let solver = xpsat_core::Solver::default();
-        let unlimited = xpsat_core::Budget::unlimited();
-        for text in ["a/c", "a[not(c)]", "b", "a[c and not(d)]", "ghost"] {
-            let query = xpsat_xpath::parse_path(text).unwrap();
-            let direct = solver.decide_budgeted(&fresh.compiled, &query, &unlimited);
-            let replayed = solver.decide_budgeted(&loaded.compiled, &query, &unlimited);
-            assert_eq!(
-                decision_fingerprint(&direct),
-                decision_fingerprint(&replayed),
-                "{text}"
-            );
+        let budget = xpsat_core::Budget::steps(1_000_000);
+        let cases = [
+            (
+                parse_dtd(DTD).unwrap(),
+                vec!["a/c", "a[not(c)]", "b", "a[c and not(d)]", "ghost"],
+            ),
+            (
+                xpsat_core::corpus::xhtml_dtd(),
+                vec![
+                    "body/**/div[table]",
+                    "**/table[thead and tbody]",
+                    "**/dl[dt or dd]",
+                    "**/form[fieldset[legend]]",
+                ],
+            ),
+            (
+                xpsat_core::corpus::docbook_dtd(),
+                vec![
+                    "**/chapter/section[title]",
+                    "**/section[not(title)]",
+                    "book/chapter[qandaset]",
+                    "**/qandaentry[question and answer]",
+                ],
+            ),
+        ];
+        for (dtd, texts) in cases {
+            let fresh = DtdArtifacts::build(&dtd);
+            store.save(&fresh).unwrap();
+            let loaded = store.load(&fresh.canonical).unwrap();
+            for text in texts {
+                let query = xpsat_xpath::parse_path(text).unwrap();
+                let direct = solver.decide_budgeted(&fresh.compiled, &query, &budget);
+                let replayed = solver.decide_budgeted(&loaded.compiled, &query, &budget);
+                assert!(direct.exhausted.is_none(), "{} {text}", dtd.root());
+                assert_eq!(
+                    decision_fingerprint(&direct),
+                    decision_fingerprint(&replayed),
+                    "{} {text}",
+                    dtd.root()
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -891,15 +669,18 @@ mod tests {
             store.load(&fresh.canonical),
             Err(StoreMiss::Absent)
         ));
-        // Flipped interior byte (inside the automata region).
+        // Flipped interior byte.
         let mut flipped = full.clone();
-        let mid = flipped.len() - 9;
+        let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(store.load(&fresh.canonical).is_err());
-        // A different DTD's bytes under this key: canonical mismatch.
+        assert!(matches!(
+            store.load(&fresh.canonical),
+            Err(StoreMiss::Invalid)
+        ));
+        // A different DTD's entry under this key: canonical mismatch.
         let other = build("r -> x?; x -> #;");
-        std::fs::write(&path, encode(&other)).unwrap();
+        std::fs::write(&path, other.canonical.as_bytes()).unwrap();
         assert!(matches!(
             store.load(&fresh.canonical),
             Err(StoreMiss::Invalid)
@@ -907,11 +688,29 @@ mod tests {
         // Restore and confirm it loads again.
         std::fs::write(&path, &full).unwrap();
         assert!(store.load(&fresh.canonical).is_ok());
-        store.evict(&fresh.canonical).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert!(matches!(
             store.load(&fresh.canonical),
             Err(StoreMiss::Absent)
         ));
+
+        // A v2-format entry under the v3 key (magic, version, length-prefixed
+        // canonical text, FNV trailer) is a counted miss, and the rebuild's save
+        // replaces it with the text.
+        let mut v2 = b"XPSATART".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&(fresh.canonical.len() as u32).to_le_bytes());
+        v2.extend_from_slice(fresh.canonical.as_bytes());
+        let trailer = fnv64(&v2);
+        v2.extend_from_slice(&trailer.to_le_bytes());
+        std::fs::write(&path, &v2).unwrap();
+        let ws = Workspace::default().with_store(store.clone());
+        assert!(!ws.register_dtd_report(DTD).unwrap().cached);
+        let stats = ws.stats();
+        assert_eq!(stats.artifact_store_corrupt, 1, "{stats}");
+        assert_eq!(stats.artifact_store_misses, 1, "{stats}");
+        assert_eq!(stats.artifact_store_writes, 1, "{stats}");
+        assert_eq!(std::fs::read(&path).unwrap(), full);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -940,10 +739,14 @@ mod tests {
             let hash = fnv64(canon_text.as_bytes());
             let program = xpsat_plan::compile(&fresh.compiled, &canon, &limits)
                 .unwrap_or_else(|| panic!("{text} compiles"));
-            assert!(!store.contains_program(fresh.fingerprint, hash));
+            let entry = store
+                .version_dir()
+                .join(format!("{:016x}-{hash:016x}.prg", fresh.fingerprint));
+            assert!(!entry.exists());
             store
                 .save_program(fresh.fingerprint, hash, &canon_text, &program)
                 .unwrap();
+            assert!(entry.exists());
             let loaded = store
                 .load_program(fresh.fingerprint, hash, &canon_text, &fresh.compiled)
                 .unwrap();
@@ -1030,12 +833,17 @@ mod tests {
         first.register_dtd(DTD).unwrap();
         assert_eq!(first.stats().artifact_store_writes, 1);
         let second = Workspace::default().with_store(store);
-        let id = second.register_dtd(DTD).unwrap();
+        let outcome = second.register_dtd_report(DTD).unwrap();
+        assert!(outcome.cached, "the store knew the text");
         let stats = second.stats();
         assert_eq!(stats.artifact_store_hits, 1);
-        assert_eq!(stats.classifications, 0, "served from disk, not recompiled");
+        assert_eq!(stats.artifact_store_writes, 0, "a hit saves nothing");
+        assert_eq!(
+            stats.classifications, 1,
+            "a hit rebuilds from the stored text"
+        );
         let q = second.intern("a[not(c)]").unwrap();
-        assert!(second.decide(id, q).is_ok());
+        assert!(second.decide(outcome.id, q).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

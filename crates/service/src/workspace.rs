@@ -24,10 +24,11 @@
 //!
 //! A DTD's artifacts depend only on its canonical text, so they live in the decision
 //! store too, next to the text's key: the first registration of a text, from any
-//! workspace sharing the store, materialises them — loaded from the optional
-//! persistent [`ArtifactStore`] ([`Workspace::with_store`]), else built, warmed and
-//! saved — and every later one adopts that build as an [`Arc<DtdArtifacts>`].  What
-//! stays per workspace is its own: DTD ids, the query table and the served classes.
+//! workspace sharing the store, builds them with [`DtdArtifacts::build`] (and records
+//! the text in the optional persistent [`ArtifactStore`], [`Workspace::with_store`],
+//! unless it is there already) and every later one adopts that build as an
+//! [`Arc<DtdArtifacts>`].  What stays per workspace is its own: DTD ids, the query
+//! table and the served classes.
 //!
 //! [`Workspace::decide`] and [`Workspace::decide_batch`] run one per-class pipeline:
 //! look the class up among those this workspace has already been served (a
@@ -129,6 +130,27 @@ pub struct DtdArtifacts {
     /// [`xpsat_core::Solver::decide_budgeted`] on every decision so the engines never
     /// recompute per-DTD structure.
     pub compiled: xpsat_dtd::DtdArtifacts,
+}
+
+impl DtdArtifacts {
+    /// Build every artifact of `dtd`: its canonical text and fingerprint, `N(D)` and
+    /// the solver artifacts, warmed.  The service's one way to build a DTD's
+    /// artifacts: registration calls it on a miss, and [`ArtifactStore::load`] on a
+    /// hit.
+    pub fn build(dtd: &Dtd) -> DtdArtifacts {
+        let canonical = dtd.to_string();
+        let compiled = xpsat_dtd::DtdArtifacts::build(dtd);
+        // The workspace serves many queries per DTD: force the lazy artifact fields
+        // (automata, useful-state masks, generator) now so no decision — and no batch
+        // worker — ever pays first-touch latency or contends on a OnceLock.
+        compiled.warm();
+        DtdArtifacts {
+            fingerprint: crate::store::canonical_key(&canonical),
+            canonical,
+            normalization: normalize(dtd),
+            compiled,
+        }
+    }
 }
 
 /// A structural equivalence class of queries under the plan compiler's rewrites,
@@ -243,10 +265,10 @@ pub struct RegisterOutcome {
     pub id: DtdId,
     /// `true` when an identical DTD was already registered in this workspace.
     pub reused: bool,
-    /// `true` when this registration added the DTD without building anything: the
-    /// artifacts came from an earlier build of the text by a workspace sharing the
-    /// decision store, or from the persistent store.  Always `false` when `reused`
-    /// is `true`.
+    /// `true` when the text was already known: the registration adopted an earlier
+    /// build of the text by a workspace sharing the decision store, or the persistent
+    /// store held the text (the artifacts are then rebuilt from it).  Always `false`
+    /// when `reused` is `true`.
     pub cached: bool,
 }
 
@@ -345,7 +367,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Attach a persistent artifact store: the first registration of a text consults
-    /// it before building, and writes a fresh build back.
+    /// it, and records the text there when it was missing.
     pub fn with_store(mut self, store: ArtifactStore) -> Workspace {
         self.store = Some(store);
         self
@@ -398,8 +420,8 @@ impl Workspace {
     /// The DTD is parsed, canonicalised and materialised with no registry lock held;
     /// only the append takes the registry's write lock.  Materialising runs once per
     /// text in the decision store's record for it: the first registration of the
-    /// text, from any workspace sharing the store, loads it from the persistent
-    /// store or builds it (then saves it), and racing registrations wait for that
+    /// text, from any workspace sharing the store, builds it (saving the text to the
+    /// persistent store when that lacked it), and racing registrations wait for that
     /// build and adopt it.  Racing registrations of one text in one workspace all
     /// get the first appended id, and all but that one count as reuses.
     /// Registrations of different texts never wait for each other.
@@ -414,7 +436,7 @@ impl Workspace {
         // in this workspace can, so those racers count as reuses.
         let mut materialized = None;
         let artifacts = record.artifacts.get_or_init(|| {
-            let (artifacts, from_store) = self.materialize(dtd, canonical);
+            let (artifacts, from_store) = self.materialize(&dtd, &canonical);
             materialized = Some(RegisterOutcome {
                 cached: from_store,
                 ..self.append(record.key, &artifacts)
@@ -431,7 +453,8 @@ impl Workspace {
     }
 
     /// Append a DTD to the registry unless its key is registered already.  An
-    /// append that did not materialise the artifacts built nothing: it is `cached`.
+    /// append that did not materialise the artifacts adopted a known text's build:
+    /// it is `cached`.
     fn append(&self, key: DtdKey, artifacts: &Arc<DtdArtifacts>) -> RegisterOutcome {
         let mut table = write_recovering(&self.dtds);
         if let Some(&id) = table.by_key.get(&key) {
@@ -454,17 +477,17 @@ impl Workspace {
         }
     }
 
-    /// Produce the artifacts of a DTD, `true` when they came from the persistent
-    /// store: from it when possible, else by running the full pipeline (and writing
-    /// the result back to the store).
-    fn materialize(&self, dtd: Dtd, canonical: String) -> (Arc<DtdArtifacts>, bool) {
-        if let Some(store) = &self.store {
-            match store.load(&canonical) {
+    /// Build the artifacts of a DTD, `true` when the persistent store already knew
+    /// its text.  A store hit builds from the stored text, a miss from `dtd` (and
+    /// writes the text to the store): both through [`DtdArtifacts::build`].
+    fn materialize(&self, dtd: &Dtd, canonical: &str) -> (Arc<DtdArtifacts>, bool) {
+        let loaded = self
+            .store
+            .as_ref()
+            .and_then(|store| match store.load(canonical) {
                 Ok(artifacts) => {
                     CacheStats::bump(&self.stats.artifact_store_hits);
-                    // Lazy fields not serialised (the tree generator) still warm here.
-                    artifacts.compiled.warm();
-                    return (Arc::new(artifacts), true);
+                    Some(artifacts)
                 }
                 Err(miss) => {
                     if miss == StoreMiss::Invalid {
@@ -473,31 +496,23 @@ impl Workspace {
                         CacheStats::bump(&self.stats.artifact_store_corrupt);
                     }
                     CacheStats::bump(&self.stats.artifact_store_misses);
+                    None
                 }
-            }
-        }
+            });
+        let from_store = loaded.is_some();
+        let artifacts = loaded.unwrap_or_else(|| DtdArtifacts::build(dtd));
         CacheStats::bump(&self.stats.classifications);
         CacheStats::bump(&self.stats.normalizations);
-        let normalization = normalize(&dtd);
-        let compiled = xpsat_dtd::DtdArtifacts::build(&dtd);
-        // The workspace serves many queries per DTD: force the lazy artifact fields
-        // (automata, useful-state masks, generator) now so no decision — and no batch
-        // worker — ever pays first-touch latency or contends on a OnceLock.
-        compiled.warm();
-        CacheStats::add(&self.stats.automata_built, compiled.automata_count() as u64);
-        let fingerprint = crate::store::canonical_key(&canonical);
-        let artifacts = Arc::new(DtdArtifacts {
-            canonical,
-            fingerprint,
-            normalization,
-            compiled,
-        });
-        if let Some(store) = &self.store {
+        CacheStats::add(
+            &self.stats.automata_built,
+            artifacts.compiled.automata_count() as u64,
+        );
+        if let Some(store) = self.store.as_ref().filter(|_| !from_store) {
             if store.save(&artifacts).is_ok() {
                 CacheStats::bump(&self.stats.artifact_store_writes);
             }
         }
-        (artifacts, false)
+        (Arc::new(artifacts), from_store)
     }
 
     /// The decision-store key of a registered DTD.

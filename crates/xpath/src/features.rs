@@ -112,11 +112,6 @@ impl Features {
         self.descendant || self.ancestor
     }
 
-    /// Does the query use any sibling axis?
-    pub fn has_sibling(&self) -> bool {
-        self.sibling || self.sibling_star
-    }
-
     /// Is every feature of `self` also present in `other`?
     pub fn subset_of(&self, other: &Features) -> bool {
         (!self.label || other.label)

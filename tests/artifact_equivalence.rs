@@ -7,7 +7,8 @@
 //! * the interner round-trips names to dense ids;
 //! * the dense Glushkov NFA (and the bitset subset-construction DFA) accept exactly the
 //!   language of the regular expression, checked against the Brzozowski-derivative
-//!   oracle on seeded random expressions and words;
+//!   oracle on seeded random expressions and words, and DFA equivalence agrees with
+//!   membership;
 //! * the precomputed `DtdGraph` closure equals a naive BFS over the string adjacency,
 //!   and the precomputed recursion/depth answers match their from-scratch definitions;
 //! * `Solver::decide` verdicts are identical with and without precompiled artifacts
@@ -17,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use xpsat_automata::{Dfa, Nfa, Regex};
 use xpsat_core::{Budget, Solver};
 use xpsat_dtd::{parse_dtd, Dtd, DtdArtifacts, DtdGraph, Sym, SymbolTable};
@@ -91,82 +91,54 @@ fn dense_nfa_and_dfa_match_the_derivative_oracle_on_random_words() {
 }
 
 #[test]
-fn dense_dfa_matches_sparse_dfa_on_random_regexes() {
-    let mut rng = StdRng::seed_from_u64(20260730);
-    let alphabet: BTreeSet<char> = ['a', 'b', 'c'].into_iter().collect();
-    let index = |ch: char| (ch as usize) - ('a' as usize);
-    for _ in 0..60 {
-        let re = random_regex(&mut rng, 3);
-        let sparse = Dfa::from_nfa(&Nfa::glushkov(&re));
-        let dense = sparse.to_dense(&alphabet);
-        for _ in 0..40 {
-            let len = rng.gen_range(0..6);
-            let word: Vec<char> = (0..len)
-                .map(|_| {
-                    *alphabet
-                        .iter()
-                        .nth(rng.gen_range(0..alphabet.len()))
-                        .unwrap()
-                })
-                .collect();
-            let cols: Vec<usize> = word.iter().map(|&ch| index(ch)).collect();
-            assert_eq!(
-                dense.accepts(&cols),
-                sparse.accepts(&word),
-                "dense/sparse divergence for {re:?} on {word:?}"
-            );
-            // Complement flips membership for every word.
-            assert_eq!(dense.complement().accepts(&cols), !dense.accepts(&cols));
-        }
-        assert_eq!(dense.is_empty(), sparse.is_empty(), "emptiness for {re:?}");
-    }
-}
-
-#[test]
-fn dense_dfa_equivalence_agrees_with_sparse_equivalence() {
+fn dfa_equivalence_agrees_with_membership_on_random_words() {
     let mut rng = StdRng::seed_from_u64(4242);
-    let alphabet: BTreeSet<char> = ['a', 'b', 'c'].into_iter().collect();
-    let mut seen_equal = 0;
+    let letters = ['a', 'b', 'c'];
+    // Every word up to length 4: a disagreement among them refutes equivalence.
+    let mut short_words: Vec<Vec<char>> = vec![vec![]];
+    for len in 0..4 {
+        let longer: Vec<Vec<char>> = (short_words.iter())
+            .filter(|w| w.len() == len)
+            .flat_map(|w| {
+                letters.iter().map(move |&ch| {
+                    let mut w2 = w.clone();
+                    w2.push(ch);
+                    w2
+                })
+            })
+            .collect();
+        short_words.extend(longer);
+    }
+    let (mut equal, mut distinct) = (0, 0);
     for _ in 0..40 {
         let r1 = random_regex(&mut rng, 2);
         let r2 = random_regex(&mut rng, 2);
         let d1 = Dfa::from_nfa(&Nfa::glushkov(&r1));
         let d2 = Dfa::from_nfa(&Nfa::glushkov(&r2));
-        // Oracle: brute-force membership agreement over all words up to length 4.
-        let mut brute_equal = true;
-        let letters: Vec<char> = alphabet.iter().copied().collect();
-        let mut words: Vec<Vec<char>> = vec![vec![]];
-        for _ in 0..4 {
-            let mut next = Vec::new();
-            for w in &words {
-                for &ch in &letters {
-                    let mut w2 = w.clone();
-                    w2.push(ch);
-                    next.push(w2);
-                }
-            }
-            words.extend(next);
+        let equivalent = d1.equivalent(&d2);
+        assert_eq!(equivalent, d2.equivalent(&d1), "{r1:?} vs {r2:?}");
+        if short_words.iter().any(|w| r1.matches(w) != r2.matches(w)) {
+            assert!(!equivalent, "{r1:?} vs {r2:?}");
         }
-        for w in &words {
-            if r1.matches(w) != r2.matches(w) {
-                brute_equal = false;
-                break;
+        if equivalent {
+            // Equivalent automata agree on every word, long ones included.
+            for _ in 0..40 {
+                let len = rng.gen_range(0..9);
+                let word: Vec<char> = (0..len)
+                    .map(|_| letters[rng.gen_range(0..letters.len())])
+                    .collect();
+                assert_eq!(r1.matches(&word), r2.matches(&word), "{r1:?} vs {r2:?}");
             }
         }
-        let dense_equal = d1.to_dense(&alphabet).equivalent(&d2.to_dense(&alphabet));
-        // Short-word disagreement certainly refutes equivalence; agreement up to
-        // length 4 on these tiny expressions is decided exactly by the automata.
-        if !brute_equal {
-            assert!(!dense_equal, "{r1:?} vs {r2:?}");
-        }
-        assert_eq!(dense_equal, d1.equivalent(&d2), "{r1:?} vs {r2:?}");
-        seen_equal += usize::from(dense_equal);
+        equal += usize::from(equivalent);
+        distinct += usize::from(!equivalent);
         // Reflexivity through an independent construction.
-        assert!(d1
-            .to_dense(&alphabet)
-            .equivalent(&Dfa::from_nfa(&Nfa::glushkov(&r1)).to_dense(&alphabet)));
+        assert!(d1.equivalent(&Dfa::from_nfa(&Nfa::glushkov(&r1))));
     }
-    let _ = seen_equal;
+    assert!(
+        equal > 0 && distinct > 0,
+        "{equal} equal, {distinct} distinct"
+    );
 }
 
 /// A random DTD over `n` element types, with occasional cycles and references to one
